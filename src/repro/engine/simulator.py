@@ -81,10 +81,76 @@ _ALLOCATORS = ("incremental", "rebuild")
 _EMPTY_ROUTE = np.empty(0, dtype=np.int64)
 
 
+#: Most pairs one :meth:`~repro.topology.base.Topology.routes` call
+#: routes when :func:`cached_routes` fills a route cache, which bounds the
+#: batch's transient CSR however many pairs miss.
+ROUTE_CHUNK = 65_536
+
+
+def _cache_token(topology: Topology):
+    """The route-cache key suffix of a topology: its fault set's
+    :meth:`~repro.topology.degraded.FaultSet.cache_token`, ``None`` when
+    healthy."""
+    faults = getattr(topology, "faults", None)
+    return faults.cache_token() if isinstance(faults, FaultSet) else None
+
+
+def cached_routes(topology: Topology, src: np.ndarray, dst: np.ndarray,
+                  route_cache, collector=None) -> list[np.ndarray]:
+    """Deterministic routes of the pairs ``(src[i], dst[i])``, cached.
+
+    Looks every distinct pair up in ``route_cache`` under the keys
+    :func:`_make_route_fn` uses (``(s, d)``, or ``(s, d, token)`` on a
+    degraded topology), routes the missing ones with batched
+    :meth:`~repro.topology.base.Topology.routes` calls of at most
+    :data:`ROUTE_CHUNK` pairs each (in order of first appearance, so a
+    disconnected pair raises as the per-pair walk would), and stores one
+    int64 array per pair.  Each array owns its data, so a spilled
+    :class:`~repro.routing.cache.ShardedRouteCache` shard frees it.
+    Repeated pairs share one array object.  A pair with ``s == d`` gets
+    the shared empty route and is not cached.  ``collector`` times the
+    routing under ``route_construction``.
+    """
+    token = _cache_token(topology)
+    num_ep = topology.num_endpoints
+    codes = np.asarray(src, dtype=np.int64) * num_ep + dst
+    uniq, first, inverse = np.unique(codes, return_index=True,
+                                     return_inverse=True)
+    pair_src, pair_dst = np.divmod(uniq, num_ep)
+    keys = [(s, d) if token is None else (s, d, token)
+            for s, d in zip(pair_src.tolist(), pair_dst.tolist())]
+    found: list[np.ndarray | None] = []
+    missing: list[int] = []
+    for i, key in enumerate(keys):
+        if key[0] == key[1]:
+            found.append(_EMPTY_ROUTE)  # co-located tasks: intra-endpoint
+            continue
+        route = route_cache.get(key)
+        if route is None:
+            missing.append(i)
+        found.append(route)
+    if missing:
+        t0 = time.perf_counter()
+        todo = np.asarray(missing, dtype=np.int64)
+        todo = todo[np.argsort(first[todo], kind="stable")]
+        for lo in range(0, todo.shape[0], ROUTE_CHUNK):
+            part = todo[lo:lo + ROUTE_CHUNK]
+            indptr, links = topology.routes(pair_src[part], pair_dst[part])
+            bounds = indptr.tolist()
+            for j, i in enumerate(part.tolist()):
+                found[i] = route_cache[keys[i]] = \
+                    links[bounds[j]:bounds[j + 1]].copy()
+        if collector is not None:
+            collector.add_time("route_construction",
+                               time.perf_counter() - t0)
+    return [found[i] for i in inverse.tolist()]
+
+
 def _make_route_fn(topology: Topology, src_ep: np.ndarray, dst_ep: np.ndarray,
                    route_cache: dict, collector, routing: str,
                    occupancy=None):
-    """Build the per-flow ``route_of(fid)`` closure both engines share.
+    """Build the ``(route_of(fid), routes_of(fids))`` closures both engines
+    share.
 
     Historically each engine carried its own copy of the cache-fill logic
     with bare ``(src, dst)`` keys, which silently poisoned caches shared
@@ -100,11 +166,16 @@ def _make_route_fn(topology: Topology, src_ep: np.ndarray, dst_ep: np.ndarray,
     * the multi-path policies cache the whole interned candidate list
       under ``("cands", src, dst, token)`` and select per flow.
 
+    ``routes_of`` returns the routes of a batch of flows.  Under
+    deterministic routing it fills the cache with one batched
+    :func:`cached_routes` call, and the arrays it returns are the very
+    objects ``route_of`` serves later; under the other policies it is
+    ``route_of`` per flow.
+
     ``occupancy`` (adaptive only) is a zero-argument callable returning
     the current per-link live-flow-count vector.
     """
-    faults = getattr(topology, "faults", None)
-    token = faults.cache_token() if isinstance(faults, FaultSet) else None
+    token = _cache_token(topology)
 
     def _timed(fn, s: int, d: int):
         if collector is None:
@@ -113,6 +184,9 @@ def _make_route_fn(topology: Topology, src_ep: np.ndarray, dst_ep: np.ndarray,
         out = fn(s, d)
         collector.add_time("route_construction", time.perf_counter() - t0)
         return out
+
+    def per_flow(fids: np.ndarray) -> list[np.ndarray]:
+        return [route_of(f) for f in fids.tolist()]
 
     if routing == "deterministic":
         def route_of(fid: int) -> np.ndarray:
@@ -126,7 +200,11 @@ def _make_route_fn(topology: Topology, src_ep: np.ndarray, dst_ep: np.ndarray,
                                     dtype=np.int64)
                 route_cache[key] = cached
             return cached
-        return route_of
+
+        def routes_of(fids: np.ndarray) -> list[np.ndarray]:
+            return cached_routes(topology, src_ep[fids], dst_ep[fids],
+                                 route_cache, collector)
+        return route_of, routes_of
 
     def candidates_of(s: int, d: int) -> list[np.ndarray]:
         key = ("cands", s, d, token)
@@ -144,7 +222,7 @@ def _make_route_fn(topology: Topology, src_ep: np.ndarray, dst_ep: np.ndarray,
                 return _EMPTY_ROUTE
             cands = candidates_of(s, d)
             return cands[routing_policy.ecmp_index(fid, s, d, len(cands))]
-        return route_of
+        return route_of, per_flow
 
     assert routing == "adaptive" and occupancy is not None
 
@@ -156,7 +234,7 @@ def _make_route_fn(topology: Topology, src_ep: np.ndarray, dst_ep: np.ndarray,
         if len(cands) == 1:
             return cands[0]
         return cands[routing_policy.adaptive_index(cands, occupancy())]
-    return route_of
+    return route_of, per_flow
 
 
 def simulate(topology: Topology, flows: FlowSet, *,
@@ -278,7 +356,7 @@ def simulate(topology: Topology, flows: FlowSet, *,
         route_cache = {}
     src_ep = placement[flows.src]
     dst_ep = placement[flows.dst]
-    route_of = _make_route_fn(
+    route_of, routes_of = _make_route_fn(
         topology, src_ep, dst_ep, route_cache, collector, routing,
         (lambda: active.occupancy) if adaptive else None)
 
@@ -341,7 +419,7 @@ def simulate(topology: Topology, flows: FlowSet, *,
         routed = ready[~zero_hop]
         if routed.shape[0]:
             start[routed] = t
-            route_list = [route_of(f) for f in routed.tolist()]
+            route_list = routes_of(routed)
             active.add_many(routed, route_list,
                             weights=weight_arr[routed] if weighted else None)
             if collector is not None:
@@ -416,7 +494,7 @@ def simulate(topology: Topology, flows: FlowSet, *,
         ready = uniq[ready_mask][seq]
         inherit = rep_rates[trig[seq]]
         start[ready] = t
-        route_list = [route_of(f) for f in ready.tolist()]
+        route_list = routes_of(ready)
         active.add_many(ready, route_list, rates=inherit,
                         weights=weight_arr[ready] if weighted else None)
         if collector is not None:
@@ -581,7 +659,7 @@ def _simulate_rebuild(topology: Topology, flows: FlowSet,
     # persistent ActiveSet to maintain one)
     occ = np.zeros(capacities.shape[0], dtype=np.int64) \
         if routing == "adaptive" else None
-    route_of = _make_route_fn(
+    route_of, _ = _make_route_fn(
         topology, src_ep, dst_ep, route_cache, collector, routing,
         (lambda: occ) if occ is not None else None)
 

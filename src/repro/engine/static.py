@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.engine.flows import FlowSet
 from repro.engine.results import LinkLoadReport
-from repro.engine.simulator import _check_placement
+from repro.engine.simulator import _check_placement, cached_routes
 from repro.topology.base import Topology
 
 
@@ -32,7 +32,8 @@ def analyze(topology: Topology, flows: FlowSet, *,
     topology serves both modes (the search rank-0 proxies and the sweep
     runner share theirs this way).  Repeated ``(src, dst)`` pairs are
     deduplicated before routing: each distinct pair is routed exactly
-    once with its sizes pre-summed, instead of re-routing per flow.
+    once with its sizes pre-summed, through the simulator's batched
+    :func:`~repro.engine.simulator.cached_routes`.
     """
     placement = _check_placement(topology, flows, placement)
     capacities = topology.links.capacities
@@ -51,13 +52,10 @@ def analyze(topology: Topology, flows: FlowSet, *,
         unique_keys, inverse = np.unique(pair_key, return_inverse=True)
         totals = np.bincount(inverse, weights=flows.size[network],
                              minlength=unique_keys.shape[0])
-        num_ep = topology.num_endpoints
-        for key, total in zip(unique_keys.tolist(), totals.tolist()):
-            s, d = divmod(key, num_ep)
-            route = route_cache.get((s, d))
-            if route is None:
-                route = np.asarray(topology.route(s, d), dtype=np.int64)
-                route_cache[(s, d)] = route
+        routes = cached_routes(topology,
+                               *np.divmod(unique_keys, topology.num_endpoints),
+                               route_cache)
+        for route, total in zip(routes, totals.tolist()):
             loads[route] += total
 
     bottleneck = float(np.max(loads / capacities)) if loads.size else 0.0

@@ -120,7 +120,7 @@ def simulate_transient(topology: Topology, flows: FlowSet,
         return DegradedTopology(topology, epochs[idx].faults)
 
     current = view_of(epoch_idx)
-    route_of = _make_route_fn(current, src_ep, dst_ep, route_cache,
+    route_of, _ = _make_route_fn(current, src_ep, dst_ep, route_cache,
                               collector, routing, occ_fn)
     next_change = epochs[epoch_idx + 1].start \
         if epoch_idx + 1 < len(epochs) else math.inf
@@ -227,7 +227,7 @@ def simulate_transient(topology: Topology, flows: FlowSet,
         """Batched approx-mode release (the healthy engine's twin).
 
         Same last-trigger rate inheritance and trigger-order admission as
-        :func:`repro.engine.simulator._simulate_incremental`'s helper,
+        the ``release_inherit`` helper of :func:`repro.engine.simulate`,
         with one transient twist: a released flow whose pair the current
         epoch disconnects parks instead of entering the network.
         """
@@ -288,7 +288,7 @@ def simulate_transient(topology: Topology, flows: FlowSet,
         nonlocal epoch_idx, current, route_of, next_change
         epoch_idx += 1
         current = view_of(epoch_idx)
-        route_of = _make_route_fn(current, src_ep, dst_ep, route_cache,
+        route_of, _ = _make_route_fn(current, src_ep, dst_ep, route_cache,
                                   collector, routing, occ_fn)
         next_change = epochs[epoch_idx + 1].start \
             if epoch_idx + 1 < len(epochs) else math.inf

@@ -15,7 +15,10 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.errors import RoutingError
+from repro.routing import walks
 
 Coord = tuple[int, ...]
 
@@ -88,6 +91,49 @@ def path(src: Coord, dst: Coord, radices: Sequence[int], *, torus: bool = True) 
             cur[dim] = (cur[dim] + step) % radix
             out.append(tuple(cur))
     return out
+
+
+def path_batch(src: np.ndarray, dst: np.ndarray, radices: Sequence[int], *,
+               torus: bool = True) -> walks.CSR:
+    """:func:`path` for many pairs at once, over linear indices.
+
+    ``src`` and ``dst`` hold :func:`coord_to_index` indices.  Returns the
+    walks as a CSR batch ``(indptr, indices)`` whose row ``i`` is
+    ``[coord_to_index(c) for c in path(src[i], dst[i])]``: the same
+    ascending dimension order and the same wrap-aware deltas, with exact
+    ties broken towards the positive direction as :func:`wrap_delta` does.
+    Indices are not range-checked; callers validate their endpoints.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    n, d = src.shape[0], len(radices)
+    radix = np.asarray(radices, dtype=np.int64)
+    stride = np.cumprod(np.concatenate(([1], radix)))[:-1]
+    sc = (src[:, None] // stride) % radix                  # (n, d) coords
+    dc = (dst[:, None] // stride) % radix
+    if torus:
+        forward = (dc - sc) % radix
+        delta = np.where(forward <= radix - forward, forward, forward - radix)
+    else:
+        delta = dc - sc
+    steps = np.abs(delta).ravel()                          # hops per (pair, dim)
+    # index with dimension i zeroed: lower dimensions already corrected to
+    # the destination, higher ones still at the source
+    dpart, spart = dc * stride, sc * stride
+    fixed = (np.cumsum(dpart, axis=1) - dpart
+             + spart.sum(axis=1, keepdims=True) - np.cumsum(spart, axis=1))
+    seg = np.repeat(np.arange(n * d), steps)               # (pair, dim) per hop
+    seg_start = np.cumsum(steps) - steps
+    j = np.arange(1, seg.shape[0] + 1) - np.repeat(seg_start, steps)
+    dim = seg % d
+    coord = (sc.ravel()[seg] + np.sign(delta).ravel()[seg] * j) % radix[dim]
+    hop_vertex = fixed.ravel()[seg] + coord * stride[dim]
+    indptr = walks.from_lengths(steps.reshape(n, d).sum(axis=1) + 1)
+    out = np.empty(int(indptr[-1]), dtype=np.int64)
+    out[indptr[:-1]] = src
+    # hop h of pair r sits just after the r + 1 row starts before it
+    out[np.arange(seg.shape[0]) + seg // d + 1] = hop_vertex
+    return indptr, out
 
 
 def _walk(src: Coord, dst: Coord, radices: Sequence[int],

@@ -1,0 +1,62 @@
+"""Batches of walks held as CSR arrays.
+
+The batched routing paths (:func:`repro.routing.dor.path_batch`, the
+fabrics' ``port_path_batch`` and
+:meth:`repro.topology.base.Topology.routes`) describe many walks at once
+as one ``(indptr, values)`` pair: row ``i`` is
+``values[indptr[i]:indptr[i + 1]]``, and ``indptr`` has one entry more
+than there are rows.  These helpers assemble such batches without a
+Python loop over the rows.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+CSR = tuple[np.ndarray, np.ndarray]
+
+
+def from_lengths(lengths: np.ndarray) -> np.ndarray:
+    """The ``indptr`` of rows with the given lengths."""
+    indptr = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
+def singletons(values: np.ndarray) -> CSR:
+    """One row per value, holding just that value."""
+    return (np.arange(values.shape[0] + 1, dtype=np.int64),
+            np.asarray(values, dtype=np.int64))
+
+
+def from_grid(grid: np.ndarray, keep: np.ndarray) -> CSR:
+    """Rows of a ``(rows, width)`` grid, each keeping its ``keep`` cells
+    in column order."""
+    return from_lengths(keep.sum(axis=1)), grid[keep]
+
+
+def spread(mask: np.ndarray, part: CSR) -> CSR:
+    """Widen a batch over the rows selected by ``mask`` to every row.
+
+    ``part`` has one row per ``True`` in ``mask``, in order; the other
+    rows come out empty.
+    """
+    indptr, values = part
+    lengths = np.zeros(mask.shape[0], dtype=np.int64)
+    lengths[mask] = np.diff(indptr)
+    return from_lengths(lengths), values
+
+
+def concat_rows(*parts: CSR) -> CSR:
+    """Row-wise concatenation: row ``i`` of the result is row ``i`` of
+    every part in turn.  All parts have the same number of rows."""
+    lengths = [np.diff(indptr) for indptr, _ in parts]
+    indptr = from_lengths(sum(lengths))
+    out = np.empty(int(indptr[-1]), dtype=np.int64)
+    offset = indptr[:-1].copy()
+    for (part_ptr, values), part_len in zip(parts, lengths):
+        # element k of part row r lands at offset[r] + (k - part_ptr[r])
+        out[np.repeat(offset - part_ptr[:-1], part_len)
+            + np.arange(values.shape[0])] = values
+        offset += part_len
+    return indptr, out

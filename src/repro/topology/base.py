@@ -13,6 +13,7 @@ consumption link, both at the nominal link rate.  This models the QFDB's
 finite injection/ejection bandwidth uniformly across all topologies — it is
 what serialises the ``Reduce`` hot-spot identically everywhere (paper §5.2:
 "the consumption port at the root becomes the bottleneck").
+:meth:`Topology.routes` returns the same routes for many pairs at once.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.errors import RoutingError
+from repro.routing import walks
 from repro.topology.linktable import LinkTable
 from repro.units import DEFAULT_LINK_CAPACITY
 
@@ -94,6 +96,47 @@ class Topology(ABC):
         self._check_endpoint(dst)
         body = self.links.path_to_links(self.vertex_path(src, dst))
         return [int(self._inj[src]), *body, int(self._cons[dst])]
+
+    def routes(self, src: np.ndarray, dst: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Deterministic routes of many pairs as one int64 CSR.
+
+        Returns ``(indptr, links)``: row ``i``,
+        ``links[indptr[i]:indptr[i + 1]]``, equals
+        ``route(src[i], dst[i])`` exactly, NIC links included (so a pair
+        with ``src == dst`` gets its two NIC links).  Out-of-range
+        endpoints raise :class:`RoutingError`.  This default loops over
+        :meth:`route`; the torus/mesh, fattree, GHC and nested families
+        override it with vectorised walks.
+        """
+        src, dst = self._check_endpoints(src, dst)
+        rows = [self.route(s, d) for s, d in zip(src.tolist(), dst.tolist())]
+        indptr = walks.from_lengths(
+            np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))
+        links = np.fromiter((lid for row in rows for lid in row),
+                            dtype=np.int64, count=int(indptr[-1]))
+        return indptr, links
+
+    def _walk_routes(self, src: np.ndarray, dst: np.ndarray,
+                     batch: walks.CSR) -> tuple[np.ndarray, np.ndarray]:
+        """Link-id routes of a batch of vertex walks, one walk per pair,
+        wrapped in each pair's injection and consumption link."""
+        indptr, verts = batch
+        n = src.shape[0]
+        starts_hop = np.ones(verts.shape[0], dtype=bool)
+        starts_hop[indptr[1:] - 1] = False          # a row's last vertex
+        at = np.flatnonzero(starts_hop)
+        body = self.links.ids_of(verts[at], verts[at + 1])
+        rows = np.arange(n, dtype=np.int64)
+        out_ptr = indptr + np.arange(n + 1, dtype=np.int64)  # +2 NIC, -1 hop
+        out = np.empty(int(out_ptr[-1]), dtype=np.int64)
+        out[out_ptr[:-1]] = self._inj[src]
+        out[out_ptr[1:] - 1] = self._cons[dst]
+        # hop k of pair r follows the 2r NIC links of the pairs before it
+        # and r's own injection link
+        out[np.arange(body.shape[0]) + 2 * np.repeat(rows, np.diff(indptr) - 1)
+            + 1] = body
+        return out_ptr, out
 
     def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
         """Every minimal vertex walk ``src -> dst``, deterministic first.
@@ -217,3 +260,35 @@ class Topology(ABC):
         if not 0 <= e < self.num_endpoints:
             raise RoutingError(
                 f"endpoint {e} out of range [0, {self.num_endpoints})")
+
+    def _check_endpoints(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
+        """Batch twin of :meth:`_check_endpoint`: int64 endpoint arrays."""
+        if self._inj is None or self._cons is None:
+            raise RoutingError("topology not finalised; call _finalize()")
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise RoutingError(
+                f"src and dst must be equal-length 1-D arrays, got shapes "
+                f"{src.shape} and {dst.shape}")
+        for arr in (src, dst):
+            bad = (arr < 0) | (arr >= self.num_endpoints)
+            if bad.any():
+                self._check_endpoint(int(arr[np.argmax(bad)]))
+        return src, dst
+
+
+def fabric_walks(src: np.ndarray, dst: np.ndarray, fabric,
+                 offset: int) -> walks.CSR:
+    """Vertex walks of endpoints attached one per port to a switch fabric.
+
+    The batch twin of the fattree and GHC ``vertex_path``: ``[src]`` when
+    the endpoints coincide, else ``src``, the fabric's
+    ``port_path_batch`` switches (local ids shifted by ``offset``), and
+    ``dst``.
+    """
+    apart = src != dst
+    ptr, switches = fabric.port_path_batch(src[apart], dst[apart])
+    return walks.concat_rows(walks.singletons(src),
+                             walks.spread(apart, (ptr, switches + offset)),
+                             walks.spread(apart, walks.singletons(dst[apart])))

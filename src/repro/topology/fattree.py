@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.errors import TopologyError
-from repro.routing import updown
-from repro.topology.base import Topology
+from repro.routing import updown, walks
+from repro.topology.base import Topology, fabric_walks
 from repro.topology.linktable import LinkTable
 from repro.topology.planner import fattree_arities
 from repro.units import DEFAULT_LINK_CAPACITY
@@ -105,6 +107,34 @@ class FatTreeFabric:
         return [[self.switch_index(s) for s in walk]
                 for walk in updown.switch_paths(src_port, dst_port, self.arities)]
 
+    def port_path_batch(self, src_ports: np.ndarray,
+                        dst_ports: np.ndarray) -> walks.CSR:
+        """:meth:`port_path` for many distinct port pairs, as a CSR batch.
+
+        The d-mod-k climb to the nearest common ancestor level ``m`` visits
+        the level-``L`` switch of subtree ``src // K_L`` whose digits are
+        the destination's low ``L - 1`` digits; the forced descent visits
+        the level-``L`` switch of subtree ``dst // K_L`` with the same
+        digits, for ``L = m - 1 .. 1``.  Ports are not range-checked.
+        """
+        src = np.asarray(src_ports, dtype=np.int64)[:, None]
+        dst = np.asarray(dst_ports, dtype=np.int64)[:, None]
+        if bool((src == dst).any()):
+            raise TopologyError("no switch path between identical ports")
+        stages = self.num_stages
+        group = np.asarray(self._group, dtype=np.int64)   # K_0 .. K_n
+        offset = np.asarray(self._level_offset[1:], dtype=np.int64)
+        digits = dst % group[:-1]                          # (pairs, levels)
+        up = offset + (src // group[1:]) * group[:-1] + digits
+        down = offset + (dst // group[1:]) * group[:-1] + digits
+        # the NCA level is the lowest level whose subtrees coincide
+        nca = stages + 1 - (src // group[1:] == dst // group[1:]).sum(
+            axis=1, keepdims=True)
+        # columns: climb through levels 1..n, then descend n-1..1
+        grid = np.concatenate((up, down[:, :stages - 1][:, ::-1]), axis=1)
+        col = np.arange(2 * stages - 1)
+        return walks.from_grid(grid, (col < nca) | (col >= 2 * stages - nca))
+
     # --------------------------------------------------------------- analysis
     def routing_diameter(self) -> int:
         """Worst-case port-to-port hop count (access links included)."""
@@ -142,6 +172,12 @@ class FatTreeTopology(Topology):
             return [src]
         body = [self._switch_offset + s for s in self.fabric.port_path(src, dst)]
         return [src, *body, dst]
+
+    def routes(self, src: np.ndarray, dst: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        src, dst = self._check_endpoints(src, dst)
+        return self._walk_routes(
+            src, dst, fabric_walks(src, dst, self.fabric, self._switch_offset))
 
     def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
         """All minimal UP*/DOWN* walks (one per common-ancestor switch)."""

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.errors import TopologyError
-from repro.routing import ecube
-from repro.topology.base import Topology
+from repro.routing import ecube, walks
+from repro.topology.base import Topology, fabric_walks
 from repro.topology.linktable import LinkTable
 from repro.topology.planner import ghc_radices
 from repro.units import DEFAULT_LINK_CAPACITY
@@ -138,8 +140,32 @@ class GHCFabric:
         a, b = self.port_switch(src_port), self.port_switch(dst_port)
         if a == b:
             return [[a]]
-        walks = ecube.paths(self.coord_of(a), self.coord_of(b), self.radices)
-        return [[self.index_of(c) for c in walk] for walk in walks]
+        return [[self.index_of(c) for c in walk]
+                for walk in ecube.paths(self.coord_of(a), self.coord_of(b),
+                                        self.radices)]
+
+    def port_path_batch(self, src_ports: np.ndarray,
+                        dst_ports: np.ndarray) -> walks.CSR:
+        """:meth:`port_path` for many distinct port pairs, as a CSR batch.
+
+        Ascending e-cube: starting from the source switch, each dimension
+        in which the two switches differ is replaced by the destination's
+        coordinate, one hop each.  Ports are not range-checked.
+        """
+        src = np.asarray(src_ports, dtype=np.int64)
+        dst = np.asarray(dst_ports, dtype=np.int64)
+        if bool((src == dst).any()):
+            raise TopologyError("no switch path between identical ports")
+        a = (src // self.ports_per_switch)[:, None]
+        b = (dst // self.ports_per_switch)[:, None]
+        radix = np.asarray(self.radices, dtype=np.int64)
+        stride = np.cumprod(np.concatenate(([1], radix)))[:-1]
+        change = ((b // stride) % radix - (a // stride) % radix) * stride
+        # column i + 1: the switch once dimensions 0..i are corrected
+        grid = np.concatenate((a, a + np.cumsum(change, axis=1)), axis=1)
+        keep = np.concatenate((np.ones_like(a, dtype=bool), change != 0),
+                              axis=1)
+        return walks.from_grid(grid, keep)
 
     # --------------------------------------------------------------- analysis
     def routing_diameter(self) -> int:
@@ -178,6 +204,12 @@ class GHCTopology(Topology):
             return [src]
         body = [self._switch_offset + s for s in self.fabric.port_path(src, dst)]
         return [src, *body, dst]
+
+    def routes(self, src: np.ndarray, dst: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        src, dst = self._check_endpoints(src, dst)
+        return self._walk_routes(
+            src, dst, fabric_walks(src, dst, self.fabric, self._switch_offset))
 
     def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
         """All minimal e-cube walks (every dimension-correction order)."""

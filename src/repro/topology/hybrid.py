@@ -22,10 +22,13 @@ destination's designated uplink node to the destination.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Protocol
 
+import numpy as np
+
 from repro.errors import TopologyError
-from repro.routing import dor
+from repro.routing import dor, walks
 from repro.topology.base import MAX_ROUTE_CANDIDATES, Topology
 from repro.topology.linktable import LinkTable
 from repro.units import DEFAULT_LINK_CAPACITY
@@ -44,6 +47,8 @@ class UpperFabric(Protocol):
     def port_switch(self, port: int) -> int: ...
     def port_path(self, src_port: int, dst_port: int) -> list[int]: ...
     def port_paths(self, src_port: int, dst_port: int) -> list[list[int]]: ...
+    def port_path_batch(self, src_ports: np.ndarray,
+                        dst_ports: np.ndarray) -> walks.CSR: ...
     def routing_diameter(self) -> int: ...
 
 
@@ -82,25 +87,36 @@ class SubtorusPlan:
         if len(uplinked) != self.nodes // u:          # placement-rule sanity
             raise TopologyError(
                 f"placement produced {len(uplinked)} uplinks, expected {self.nodes // u}")
+        # array twins of ``designated`` and ``uplink_rank`` (-1: no uplink)
+        # for the batched routes
+        self.designated_arr = np.asarray(designated, dtype=np.int64)
+        self.rank_arr = np.full(self.nodes, -1, dtype=np.int64)
+        self.rank_arr[uplinked] = np.arange(len(uplinked))
 
-        # All uplinked nodes at minimal DOR distance from each node,
-        # designated uplink first.  These are the candidate exits for
-        # adaptive/ecmp routing: any of them reaches the upper fabric in the
-        # same number of lower-tier hops, so substituting one keeps the
-        # lower-tier leg minimal (the total route is still length-filtered
-        # against the deterministic route, because the upper-fabric leg may
-        # differ between exit ports).
-        self.tied_uplinks: list[tuple[int, ...]] = []
+    @cached_property
+    def tied_uplinks(self) -> list[tuple[int, ...]]:
+        """All uplinked nodes at minimal DOR distance, per local node.
+
+        The designated uplink comes first.  These are the candidate exits
+        for adaptive/ecmp routing: any of them reaches the upper fabric in
+        the same number of lower-tier hops, so substituting one keeps the
+        lower-tier leg minimal (the total route is still length-filtered
+        against the deterministic route, because the upper-fabric leg may
+        differ between exit ports).  Only candidate routing reads them, so
+        they are computed on first access.
+        """
+        tied: list[tuple[int, ...]] = []
         coords = [dor.index_to_coord(l, self.dims) for l in range(self.nodes)]
         for local in range(self.nodes):
             des = self.designated[local]
             d0 = dor.distance(coords[local], coords[des], self.dims)
             ties = [des]
-            for up in uplinked:
+            for up in self.uplinked:
                 if up != des and dor.distance(coords[local], coords[up],
                                               self.dims) == d0:
                     ties.append(up)
-            self.tied_uplinks.append(tuple(ties))
+            tied.append(tuple(ties))
+        return tied
 
     # ------------------------------------------------------------- placement
     def _is_uplinked(self, x: int, y: int, z: int) -> bool:
@@ -228,6 +244,14 @@ class NestedTopology(Topology):
         return [[base + dor.coord_to_index(c, self.plan.dims) for c in walk]
                 for walk in walks]
 
+    def _local_path_batch(self, a: np.ndarray, b: np.ndarray) -> walks.CSR:
+        """Batched :meth:`_local_path`: DOR walks inside each pair's
+        subtorus, as a CSR batch of global endpoint ids."""
+        nodes = self.plan.nodes
+        base = (a // nodes) * nodes
+        indptr, local = dor.path_batch(a - base, b - base, self.plan.dims)
+        return indptr, local + np.repeat(base, np.diff(indptr))
+
     def tied_uplinks_of(self, endpoint: int) -> list[int]:
         """Uplinked endpoints at minimal DOR distance, designated first."""
         s, local = divmod(endpoint, self.plan.nodes)
@@ -249,6 +273,38 @@ class NestedTopology(Topology):
                     for s in self.fabric.port_path(self.port_of(us), self.port_of(ud))]
         down = self._local_path(ud, dst)
         return up + switches + down
+
+    def routes(self, src: np.ndarray, dst: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched nested routes: row ``i`` equals ``route(src[i], dst[i])``.
+
+        Same-subtorus pairs take one DOR walk; the others take a DOR walk
+        to the source's designated uplink, the upper fabric's batched port
+        path, and a DOR walk from the destination's designated uplink.
+        """
+        src, dst = self._check_endpoints(src, dst)
+        plan = self.plan
+        nodes = plan.nodes
+        src_base = (src // nodes) * nodes
+        dst_base = (dst // nodes) * nodes
+        inter = src_base != dst_base
+        exit_node = src_base + plan.designated_arr[src - src_base]
+        entry_node = (dst_base + plan.designated_arr[dst - dst_base])[inter]
+        per_subtorus = len(plan.uplinked)
+
+        def port(uplinked: np.ndarray) -> np.ndarray:
+            """Batched :meth:`port_of`."""
+            return (uplinked // nodes) * per_subtorus \
+                + plan.rank_arr[uplinked % nodes]
+
+        ptr, switches = self.fabric.port_path_batch(port(exit_node[inter]),
+                                                    port(entry_node))
+        batch = walks.concat_rows(
+            self._local_path_batch(src, np.where(inter, exit_node, dst)),
+            walks.spread(inter, (ptr, switches + self._switch_offset)),
+            walks.spread(inter, self._local_path_batch(entry_node,
+                                                       dst[inter])))
+        return self._walk_routes(src, dst, batch)
 
     def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
         """All minimal nested walks ``src -> dst``.

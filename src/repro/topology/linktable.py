@@ -29,6 +29,10 @@ class LinkTable:
         self._frozen: np.ndarray | None = None
         self._src_arr: np.ndarray | None = None
         self._dst_arr: np.ndarray | None = None
+        # frozen lookup index: sorted ``u * V + v`` keys and their link ids
+        self._keys: np.ndarray | None = None
+        self._key_ids: np.ndarray | None = None
+        self._num_vertices = 0
 
     # ------------------------------------------------------------------ build
     def add(self, u: int, v: int, capacity: float) -> int:
@@ -60,6 +64,13 @@ class LinkTable:
         if self._frozen is None:
             self._frozen = np.asarray(self._cap, dtype=np.float64)
             self._frozen.setflags(write=False)
+            src = np.asarray(self._src, dtype=np.int64)
+            dst = np.asarray(self._dst, dtype=np.int64)
+            self._num_vertices = int(max(src.max(), dst.max())) + 1 \
+                if src.size else 0
+            keys = src * self._num_vertices + dst
+            self._key_ids = np.argsort(keys, kind="stable")
+            self._keys = keys[self._key_ids]
 
     # ----------------------------------------------------------------- lookup
     def id_of(self, u: int, v: int) -> int:
@@ -68,6 +79,30 @@ class LinkTable:
             return self._ids[(u, v)]
         except KeyError:
             raise TopologyError(f"no link {u} -> {v}") from None
+
+    def ids_of(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`id_of`: the link id of every pair ``u[i] -> v[i]``.
+
+        Looks the pairs up in a sorted ``u * V + v`` key index built at
+        freeze time (``V`` is one past the largest vertex id), so it needs
+        a frozen table.  Raises :class:`TopologyError` naming the first
+        absent link, as :meth:`path_to_links` does.
+        """
+        if self._keys is None:
+            raise TopologyError("LinkTable must be frozen before ids_of")
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        big = self._num_vertices
+        inside = (u >= 0) & (u < big) & (v >= 0) & (v < big)
+        want = np.where(inside, u * big + v, -1)
+        pos = np.searchsorted(self._keys, want)
+        np.minimum(pos, self._keys.shape[0] - 1, out=pos)
+        found = self._keys[pos] == want if self._keys.size else \
+            np.zeros(want.shape, dtype=bool)
+        if not found.all():
+            i = int(np.flatnonzero(~found)[0])
+            raise TopologyError(f"no link {int(u[i])} -> {int(v[i])}")
+        return self._key_ids[pos]
 
     def has(self, u: int, v: int) -> bool:
         """True when the directed link ``u -> v`` exists."""

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.routing import dor
 from repro.topology.base import Topology
@@ -59,6 +61,13 @@ class TorusTopology(Topology):
                           dor.index_to_coord(dst, self.dims),
                           self.dims, torus=self.wraparound)
         return [dor.coord_to_index(c, self.dims) for c in coords]
+
+    def routes(self, src: np.ndarray, dst: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        src, dst = self._check_endpoints(src, dst)
+        return self._walk_routes(
+            src, dst, dor.path_batch(src, dst, self.dims,
+                                     torus=self.wraparound))
 
     def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
         """All minimal DOR walks: both wrap directions on exact even-radix

@@ -106,13 +106,19 @@ class TestRouteDedupe:
     def test_duplicate_pairs_routed_once(self, monkeypatch):
         topo = TorusTopology((4, 2))
         calls: list[tuple[int, int]] = []
-        orig = TorusTopology.route
+        orig, orig_batch = TorusTopology.route, TorusTopology.routes
 
         def counting_route(self, s, d):
             calls.append((s, d))
             return orig(self, s, d)
 
+        def counting_routes(self, src, dst):
+            calls.extend(zip(src.tolist(), dst.tolist()))
+            return orig_batch(self, src, dst)
+
+        # analyze routes in batches; count pairs through either entry
         monkeypatch.setattr(TorusTopology, "route", counting_route)
+        monkeypatch.setattr(TorusTopology, "routes", counting_routes)
         b = FlowBuilder(8)
         for _ in range(10):
             b.add_flow(0, 5, 2.0)   # same pair, ten flows
@@ -152,6 +158,10 @@ class TestRouteDedupe:
         def exploding_route(self, s, d):  # cache must fully cover analyze
             raise AssertionError(f"re-routed cached pair ({s}, {d})")
 
+        def exploding_routes(self, src, dst):
+            raise AssertionError(f"re-routed cached pairs {src}, {dst}")
+
         monkeypatch.setattr(TorusTopology, "route", exploding_route)
+        monkeypatch.setattr(TorusTopology, "routes", exploding_routes)
         report = analyze(topo, flows, route_cache=cache)
         assert report.loads.sum() > 0
