@@ -1,9 +1,10 @@
 """Bench: incremental vs rebuild allocator on the exact-fidelity hot path.
 
 Times the same (workload, topology) cells under ``fidelity="exact"`` with
-the persistent incremental :class:`~repro.engine.active.ActiveSet`
-allocator and with the historical rebuild-per-event baseline
-(``allocator="rebuild"``), asserts both produce identical makespans and
+the engine (:func:`repro.engine.simulate`, persistent incremental
+:class:`~repro.engine.active.ActiveSet` allocator) and with the loop
+oracle (:func:`tests.oracle.simulate_rebuild`, the historical
+rebuild-per-event engine), asserts both produce identical makespans and
 event counts, and writes the measured speedups to
 ``benchmarks/results/BENCH_engine.json`` — the machine-readable record
 EXPERIMENTS.md quotes.
@@ -27,8 +28,10 @@ import pytest
 
 from conftest import BENCH_ENDPOINTS, RESULTS_DIR
 from repro.engine import simulate
+from repro.engine.active import ActiveSet
 from repro.topology import build as build_topology
 from repro.workloads import build as build_workload
+from tests.oracle import simulate_rebuild
 
 #: Timed repetitions per allocator; the minimum is reported (least-noise).
 _ROUNDS = 2
@@ -80,13 +83,12 @@ def _write_record(record: dict) -> None:
     _record_path().write_text(json.dumps(record, indent=2) + "\n")
 
 
-def _timed(topo, flows, route_cache, allocator):
+def _timed(topo, flows, route_cache, run=simulate):
     best = float("inf")
     last = None
     for _ in range(_ROUNDS):
         t0 = time.perf_counter()
-        result = simulate(topo, flows, fidelity="exact",
-                          route_cache=route_cache, allocator=allocator)
+        result = run(topo, flows, fidelity="exact", route_cache=route_cache)
         best = min(best, time.perf_counter() - t0)
         last = result
         if best > _LONG_ROUND_S:
@@ -114,8 +116,8 @@ def test_engine_allocator_speedup(benchmark):
             # allocators pay zero route-construction cost
             simulate(topo, flows, fidelity="approx",
                      route_cache=route_cache)
-            reb_s, reb = _timed(topo, flows, route_cache, "rebuild")
-            inc_s, inc = _timed(topo, flows, route_cache, "incremental")
+            reb_s, reb = _timed(topo, flows, route_cache, simulate_rebuild)
+            inc_s, inc = _timed(topo, flows, route_cache)
             out[name] = (reb_s, reb, inc_s, inc)
         return out
 
@@ -173,8 +175,8 @@ def test_engine_allocator_speedup(benchmark):
 def test_engine_exact_batch(benchmark, monkeypatch):
     """A/B the suffix-resume relevel on the exact-fidelity heavy cells.
 
-    Both legs run the incremental allocator on a warmed route cache; the
-    only difference is ``REPRO_EXACT_RELEVEL``.  The relevel path is
+    Both legs run the engine on a warmed route cache; the only difference
+    is :attr:`~repro.engine.active.ActiveSet.RELEVEL`.  The relevel path is
     bitwise-exact, so makespans and event counts must match exactly —
     the block records how much wall time the resumed fills save over
     paying a full progressive-filling pass per completion batch.
@@ -189,10 +191,10 @@ def test_engine_exact_batch(benchmark, monkeypatch):
         for name, flows in workloads.items():
             simulate(topo, flows, fidelity="approx",
                      route_cache=route_cache)
-            monkeypatch.setenv("REPRO_EXACT_RELEVEL", "0")
-            off_s, off = _timed(topo, flows, route_cache, "incremental")
-            monkeypatch.setenv("REPRO_EXACT_RELEVEL", "1")
-            on_s, on = _timed(topo, flows, route_cache, "incremental")
+            monkeypatch.setattr(ActiveSet, "RELEVEL", False)
+            off_s, off = _timed(topo, flows, route_cache)
+            monkeypatch.setattr(ActiveSet, "RELEVEL", True)
+            on_s, on = _timed(topo, flows, route_cache)
             out[name] = (off_s, off, on_s, on)
         return out
 

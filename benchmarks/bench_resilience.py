@@ -1,11 +1,11 @@
-"""Bench: transient-fault recovery-path overhead vs the healthy engine.
+"""Bench: transient-fault recovery-path overhead vs a healthy run.
 
 Three measured cells on the torus at ``REPRO_BENCH_ENDPOINTS``:
 
-* ``healthy`` — the plain incremental engine, no timeline;
-* ``empty_timeline`` — the transient engine entered with zero events,
+* ``healthy`` — the engine with no timeline;
+* ``empty_timeline`` — the engine handed a timeline with zero events,
   which must be *bitwise* the healthy run (asserted, not just measured):
-  the timeline merge may cost wall time but never fidelity;
+  the fault event source may cost wall time but never fidelity;
 * ``transient`` — a seeded mid-run fail/repair timeline sized to the
   healthy makespan, reporting the recovery counters alongside the
   wall-time and makespan overhead.

@@ -16,9 +16,13 @@ are written to ``benchmarks/results/``.
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
+
+# the repository root, so benches can import the loop oracle (tests.oracle)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from repro.core import DesignSpaceExplorer
 from repro.core.explorer import ResultTable

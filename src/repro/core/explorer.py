@@ -70,7 +70,7 @@ class RunRecord:
     #: Transient-timeline fingerprint (TimelineSpec.fingerprint()) when the
     #: cell ran under a fault timeline; None for static/healthy cells.
     timeline: dict | None = None
-    #: Recovery counters from the transient engine (result.transient);
+    #: Recovery counters of the fault-timeline run (result.transient);
     #: None unless the cell ran under a fault timeline.
     transient: dict | None = None
 

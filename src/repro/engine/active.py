@@ -53,8 +53,10 @@ finished — the dominant cost of the ``"exact"`` fidelity.
   bitwise those of a full pass, so consecutive completion batches keep
   resuming one another.  Any violated precondition (weighted set, net
   admissions, stale CSR, non-increasing recorded levels, replay work
-  rivalling a full pass) falls back to the full pass;
-  ``REPRO_EXACT_RELEVEL=0`` disables the path for A/B benchmarking.
+  rivalling a full pass) falls back to the full pass.  Setting
+  :attr:`ActiveSet.RELEVEL` to ``False`` (on the class or one instance)
+  disables the path; tests and the engine bench use it as the full-pass
+  oracle.
 
 The warm and relevel paths are exact, not approximate: they reproduce
 the float values a full pass would produce, so ``"exact"``-fidelity
@@ -64,11 +66,9 @@ makespans are unchanged.  Weighted flow sets always take the full pass
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from repro.engine import kernels as kernels_mod
+from repro.engine.kernels import numpy_fill
 from repro.engine.maxmin import _SAT_TOL, _slices_concat
 from repro.errors import SimulationError
 
@@ -94,14 +94,15 @@ class ActiveSet:
     per-link capacity vector (bits/s) of the topology's link table.
     """
 
+    #: Whether allocations may take the suffix-resumed relevel (see the
+    #: module docstring).  A test hook: ``False`` forces the full pass the
+    #: relevel must reproduce bitwise.
+    RELEVEL = True
+
     def __init__(self, capacities: np.ndarray, *,
                  weighted: bool = False,
-                 track_occupancy: bool = False,
-                 kernels: str | None = None) -> None:
+                 track_occupancy: bool = False) -> None:
         self.capacities = np.asarray(capacities, dtype=np.float64)
-        #: Fill-kernel backend (see :mod:`repro.engine.kernels`); ``None``
-        #: resolves the session default (forced > REPRO_KERNELS > auto).
-        self.kernels = kernels_mod.get(kernels)
         num_links = self.capacities.shape[0]
         self._weighted = bool(weighted)
         #: Per-link live-flow counts, maintained across add/remove when
@@ -176,8 +177,6 @@ class ActiveSet:
         self._seq_ok = False
         self._seq_buf_d = np.empty(0, dtype=np.float64)
         self._seq_buf_l = np.empty(0, dtype=np.float64)
-        self._relevel_enabled = \
-            os.environ.get("REPRO_EXACT_RELEVEL", "1") != "0"
 
         # membership churn since the last allocation, as append-only key
         # lists compared as sorted arrays at allocation time (cheaper
@@ -532,7 +531,7 @@ class ActiveSet:
                             stats["iterations"] = 0
                             stats["warm"] = True
                         return self._rates[:self._m]
-                elif self._relevel_enabled:
+                elif self.RELEVEL:
                     iterations = self._relevel_fill(net)
                     if iterations >= 0:
                         self.relevel_fills += 1
@@ -555,14 +554,12 @@ class ActiveSet:
         """Rate the flows added since the last allocation from the
         recorded water levels; ``False`` falls back to a full pass.
 
-        The segmented minimum runs through the selected fill-kernel
-        backend (:mod:`repro.engine.kernels`); both backends read the
-        pooled route copies, which hold the same link ids as the interned
-        route arrays."""
+        The segmented minimum reads the pooled route copies, which hold
+        the same link ids as the interned route arrays."""
         if not self._pending_new:
             return True
         pending = np.asarray(self._pending_new, dtype=np.int64)
-        return bool(self.kernels.warm_fill(
+        return bool(numpy_fill.warm_fill(
             self._levels, self._entries, self._starts, self._lens,
             self._slot_arr, pending, self._rates))
 
@@ -654,7 +651,7 @@ class ActiveSet:
         seq_l = np.empty(act.shape[0] + 1, dtype=np.float64)
         frozen = self._slot_flag  # borrowed scratch, reset on exit
         try:
-            status, iterations, _ = self.kernels.relevel_fill(
+            status, iterations, _ = numpy_fill.relevel_fill(
                 self.capacities, self._sat_floor, self._cap_rem, counts,
                 self._levels, self._csr_start, self._csr_len,
                 self._csr_flows, self._entries, self._starts, self._lens,
@@ -749,11 +746,8 @@ class ActiveSet:
         the event's membership patches, the pass skips the O(nnz)
         gather/sort/occupancy setup entirely.
 
-        The water-level loop itself runs through the selected fill-kernel
-        backend (:mod:`repro.engine.kernels`): the pure-NumPy reference,
-        or its numba-compiled mirror when the ``[fast]`` extra is
-        installed — both bitwise-identical by construction and by the
-        ``kernel_diff`` test suite.
+        The water-level loop itself is
+        :func:`~repro.engine.kernels.numpy_fill.full_fill`.
         """
         m = self._m
         counts = self._counts
@@ -781,7 +775,7 @@ class ActiveSet:
 
         frozen = self._slot_flag  # borrowed scratch, reset on exit
         try:
-            status, iterations, nsat = self.kernels.full_fill(
+            status, iterations, nsat = numpy_fill.full_fill(
                 self.capacities, self._sat_floor, self._cap_rem, counts,
                 self._levels, self._csr_start, self._csr_len,
                 self._csr_flows, self._entries, self._starts, self._lens,

@@ -1,12 +1,12 @@
-"""Pure-NumPy fill kernels — the reference backend.
+"""Pure-NumPy fill kernels.
 
-These two functions are the allocation hot spots of
-:class:`~repro.engine.active.ActiveSet`, extracted behind a narrow array
-contract so a compiled backend (:mod:`repro.engine.kernels.numba_fill`)
-can replace them kernel-for-kernel.  The bodies are the PR 5 loops moved
-verbatim; every other backend is differential-tested against this one for
-bitwise-identical rates, water levels, iteration counts and saturated-link
-sequences (``pytest -m kernel_diff``).
+These functions are the allocation hot spots of
+:class:`~repro.engine.active.ActiveSet`, kept behind a narrow array
+contract: flat arrays in, status codes out, so the loops stay free of
+``ActiveSet`` bookkeeping.  The tests pin the full pass and the warm
+fill to the reference :func:`repro.engine.maxmin.allocate`
+(``tests/test_active.py``) and the relevel to the full pass, bit for bit
+(``tests/test_exact_batch.py``).
 
 Contract
 --------
@@ -31,8 +31,7 @@ the per-iteration water-level increments and cumulative levels into
 differencing the cumulative levels would not reproduce them bitwise),
 and returns ``(status, iterations, nsat)`` where status ``0`` is
 success, ``1`` means flows were left without a bottleneck and ``2``
-means the loop failed to converge — raising stays with the caller so
-compiled backends never need exception objects.
+means the loop failed to converge — raising stays with the caller.
 
 ``warm_fill`` replays recorded water levels over the flows added since
 the last allocation (``pending`` flow ids; ids whose slot is ``-1`` were
@@ -80,8 +79,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.maxmin import _COUNT_TOL, _slices_concat
-
-NAME = "numpy"
 
 
 def full_fill(capacities: np.ndarray, sat_floor: np.ndarray,

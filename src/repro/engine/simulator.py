@@ -24,15 +24,29 @@ count low for the highly symmetric collectives the paper uses.
 Bandwidth allocations run through a persistent
 :class:`~repro.engine.active.ActiveSet` that maintains the flow→link
 incidence across events (O(changed routes) membership updates, pooled CSR
-buffers, warm-started progressive filling); ``allocator="rebuild"`` selects
-the historical rebuild-from-scratch path — the reference baseline the
-engine benchmark compares against.  Both produce identical rates (the
+buffers, warm-started progressive filling).  Its rates are those of the
+from-scratch reference :func:`repro.engine.maxmin.allocate` (the
 incremental allocator is exact, see ``docs/simulation-model.md``).
+
+A :class:`~repro.topology.timeline.FaultTimeline` adds a second event
+source to the same loop: fault epochs.  When the next epoch boundary lands
+before the earliest completion, the loop charges every active flow its
+partial progress up to the boundary, swaps the routing view (the base
+topology wrapped in the epoch's cumulative
+:class:`~repro.topology.degraded.FaultSet`, or the bare base once
+everything is repaired), reroutes the in-flight flows whose route crosses
+a newly-disabled link (remaining bytes preserved), and retries the flows
+*parked* because their pair was disconnected.  Route-cache keys carry the
+fault set's :meth:`~repro.topology.degraded.FaultSet.cache_token`, so each
+epoch fills its own cache partition and healthy epochs reuse the healthy
+one.  :class:`~repro.errors.DegradedNetworkError` is raised only when a
+pair is disconnected and no later epoch could reconnect it.  Without a
+timeline the next epoch boundary is ``inf`` and never fires.
 """
 
 from __future__ import annotations
 
-import os
+import math
 import time
 from typing import TYPE_CHECKING
 
@@ -40,13 +54,13 @@ import numpy as np
 
 from repro.engine.active import ActiveSet
 from repro.engine.flows import FlowSet
-from repro.engine.maxmin import _slices_concat, allocate
+from repro.engine.maxmin import _slices_concat
 from repro.engine.results import SimulationResult
-from repro.errors import SimulationError
+from repro.errors import DegradedNetworkError, SimulationError
 from repro.routing import policy as routing_policy
 from repro.routing.policy import validate_policy
 from repro.topology.base import Topology
-from repro.topology.degraded import FaultSet
+from repro.topology.degraded import DegradedTopology, FaultSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsCollector
@@ -58,24 +72,7 @@ _TIE_EPS = 1e-9
 #: Active-set churn fraction that forces a re-allocation in approx mode.
 CHURN_FRACTION = 0.05
 
-
-def _batching_enabled() -> bool:
-    """Whether completion batches process through the vectorised path.
-
-    ``REPRO_EVENT_BATCH=0`` forces the historical per-flow completion
-    walk (release one flow at a time, per-flow ActiveSet calls) in both
-    the healthy and the transient engines.  The batched path is bitwise-
-    equivalent — the equivalence regression suite
-    (``tests/test_batched_loop.py``) runs every workload under both
-    settings and asserts identical results — so the knob exists for that
-    suite and for bisecting, not for tuning.
-    """
-    return os.environ.get("REPRO_EVENT_BATCH", "1").strip().lower() \
-        not in ("0", "off", "false")
-
 _FIDELITIES = ("exact", "approx")
-
-_ALLOCATORS = ("incremental", "rebuild")
 
 #: Shared route for flows whose tasks are placed on the same endpoint.
 _EMPTY_ROUTE = np.empty(0, dtype=np.int64)
@@ -149,14 +146,12 @@ def cached_routes(topology: Topology, src: np.ndarray, dst: np.ndarray,
 def _make_route_fn(topology: Topology, src_ep: np.ndarray, dst_ep: np.ndarray,
                    route_cache: dict, collector, routing: str,
                    occupancy=None):
-    """Build the ``(route_of(fid), routes_of(fids))`` closures both engines
-    share.
+    """Build the ``(route_of(fid), routes_of(fids))`` closures of one
+    routing view.
 
-    Historically each engine carried its own copy of the cache-fill logic
-    with bare ``(src, dst)`` keys, which silently poisoned caches shared
-    across :class:`~repro.topology.degraded.DegradedTopology` wrappers (two
-    different fault sets hash to the same key) and across routing policies.
-    The single helper keys the cache by route identity instead:
+    The cache is keyed by route identity, so one cache can serve several
+    :class:`~repro.topology.degraded.DegradedTopology` wrappers and
+    routing policies of one machine without poisoning:
 
     * deterministic routes on a *healthy* topology keep the bare
       ``(src, dst)`` key — bitwise-compatible with caches shared with the
@@ -243,7 +238,6 @@ def simulate(topology: Topology, flows: FlowSet, *,
              max_events: int = 50_000_000,
              route_cache: dict | None = None,
              metrics: MetricsCollector | None = None,
-             allocator: str = "incremental",
              routing: str = "deterministic",
              fault_timeline: FaultTimeline | None = None
              ) -> SimulationResult:
@@ -277,13 +271,6 @@ def simulate(topology: Topology, flows: FlowSet, *,
         per-link delivered bits and busy time, allocator statistics, and
         span timers, and attaches its snapshot as ``result.metrics``.
         The default (``None``) adds no work to the event loop.
-    allocator:
-        ``"incremental"`` (default) keeps the flow→link incidence alive
-        across events and warm-starts allocations; ``"rebuild"`` runs the
-        historical engine — per-event Python active-list maintenance, CSR
-        reconstruction and a from-scratch reference allocation — kept
-        verbatim for verification and as the engine benchmark's baseline.
-        Both are exact — rates and makespans agree.
     routing:
         Candidate-selection policy: ``"deterministic"`` (default; routes
         and results bitwise-identical to the single-path engine),
@@ -293,19 +280,16 @@ def simulate(topology: Topology, flows: FlowSet, *,
         :mod:`repro.routing.policy` and ``docs/routing.md``.
     fault_timeline:
         Optional :class:`~repro.topology.timeline.FaultTimeline`.  A
-        non-empty timeline dispatches to the transient engine
-        (:mod:`repro.engine.transient`): the network degrades and heals
-        mid-run, in-flight flows are recovered across fault events, and
+        non-empty timeline is the loop's second event source (see the
+        module docstring): the network degrades and heals mid-run,
+        in-flight flows are recovered across fault events, and
         ``result.transient`` carries the recovery counters.  Requires the
-        incremental allocator and the *healthy* base topology (static
-        faults belong in the timeline as events at ``t <= 0``).  ``None``
-        or an empty timeline leaves this code path untouched — results
-        are bitwise-identical to a call without the argument.
+        *healthy* base topology (static faults belong in the timeline as
+        events at ``t <= 0``).  ``None`` or an empty timeline gives results
+        bitwise-identical to a call without the argument.
     """
     if fidelity not in _FIDELITIES:
         raise SimulationError(f"fidelity must be one of {_FIDELITIES}")
-    if allocator not in _ALLOCATORS:
-        raise SimulationError(f"allocator must be one of {_ALLOCATORS}")
     routing = validate_policy(routing)
     placement = _check_placement(topology, flows, placement)
     collector = metrics
@@ -322,19 +306,15 @@ def simulate(topology: Topology, flows: FlowSet, *,
                                 reallocations=0, events=0, total_bits=0.0,
                                 metrics=snap)
 
+    epochs = ()
     if fault_timeline is not None and not fault_timeline.empty:
-        if allocator != "incremental":
+        if isinstance(topology, DegradedTopology):
             raise SimulationError(
-                "fault timelines require allocator='incremental' (the "
-                "rebuild baseline predates in-flight recovery)")
-        from repro.engine.transient import simulate_transient
-        return simulate_transient(topology, flows, placement, fidelity,
-                                  max_events, route_cache, collector,
-                                  routing, fault_timeline)
-
-    if allocator == "rebuild":
-        return _simulate_rebuild(topology, flows, placement, fidelity,
-                                 max_events, route_cache, collector, routing)
+                "fault timelines require the healthy base topology; encode "
+                "static faults as timeline events at t <= 0 instead of "
+                "wrapping with DegradedTopology")
+        fault_timeline.validate(topology)
+        epochs = fault_timeline.epochs()
 
     capacities = topology.links.capacities
     remaining = flows.size.copy()
@@ -345,22 +325,62 @@ def simulate(topology: Topology, flows: FlowSet, *,
     weight_arr = flows.weight
 
     adaptive = routing == "adaptive"
-    # per-flow completion walk: required for adaptive (each release must
-    # see the occupancy its predecessors left), forced by the equivalence
-    # suite via REPRO_EVENT_BATCH=0 otherwise
-    per_flow = adaptive or not _batching_enabled()
+    # adaptive routing admits and re-admits one flow at a time, and walks
+    # approx-mode releases flow by flow: each selection must see the
+    # occupancy the flow before it left, which a batch (route everything,
+    # then add_many) would hide
     active = ActiveSet(capacities, weighted=weighted,
                        track_occupancy=adaptive)
+    occupancy = (lambda: active.occupancy) if adaptive else None
 
     if route_cache is None:
         route_cache = {}
     src_ep = placement[flows.src]
     dst_ep = placement[flows.dst]
-    route_of, routes_of = _make_route_fn(
-        topology, src_ep, dst_ep, route_cache, collector, routing,
-        (lambda: active.occupancy) if adaptive else None)
+
+    counters = {"fault_events": 0, "flows_rerouted": 0, "flows_parked": 0,
+                "flows_recovered": 0, "rerouted_bits": 0.0,
+                "recovery_seconds": 0.0}
+    #: flow id -> time it was parked (pair currently disconnected).
+    parked: dict[int, float] = {}
+
+    # epoch state: events at or before t=0 are the machine's state at job
+    # start; later ones fire inside the loop.  ``view`` is the topology
+    # flows route over; it is ``topology`` itself whenever no fault is in
+    # force (always, without a timeline).
+    def view_of(idx: int) -> Topology:
+        if idx < 0 or epochs[idx].faults.empty:
+            return topology
+        return DegradedTopology(topology, epochs[idx].faults)
+
+    def start_of(idx: int) -> float:
+        return epochs[idx].start if idx < len(epochs) else math.inf
+
+    epoch_idx = -1
+    while start_of(epoch_idx + 1) <= 0.0:
+        epoch_idx += 1
+    view = view_of(epoch_idx)
+    next_change = start_of(epoch_idx + 1)
+    route_of, routes_of = _make_route_fn(view, src_ep, dst_ep, route_cache,
+                                         collector, routing, occupancy)
 
     completed_count = 0
+
+    def route_or_park(f: int, t: float) -> np.ndarray | None:
+        """Route a flow over the current view, or park it until a repair.
+
+        Propagates :class:`~repro.errors.DegradedNetworkError` when no
+        later epoch exists — the pair can never reconnect, which is the
+        one case the typed error is for.
+        """
+        try:
+            return route_of(f)
+        except DegradedNetworkError:
+            if epoch_idx + 1 >= len(epochs):
+                raise
+            parked[f] = t
+            counters["flows_parked"] += 1
+            return None
 
     def inject(fid: int, t: float, rate: float) -> int:
         """Mark a flow ready at ``t``; zero-hop flows complete instantly.
@@ -378,7 +398,9 @@ def simulate(topology: Topology, flows: FlowSet, *,
         while stack:
             f, r = stack.pop()
             start[f] = t
-            route = route_of(f)
+            route = route_or_park(f, t)
+            if route is None:
+                continue  # parked; stays un-started until a repair
             if collector is not None:
                 collector.flow_injected(float(flows.size[f]), route.shape[0])
             if route.shape[0]:
@@ -395,38 +417,55 @@ def simulate(topology: Topology, flows: FlowSet, *,
                     stack.append((succ, r))
         return admitted
 
+    def admit(fids: np.ndarray, t: float,
+              rates: np.ndarray | None = None) -> int:
+        """Route and add a batch of network flows released at ``t``.
+
+        ``rates`` seeds each flow's rate (approx-mode inheritance; zero
+        otherwise — every caller reallocates before such a rate is read).
+        A degraded view routes flow by flow so that a cut pair parks
+        alone; any other view takes the batched route fill.  Returns the
+        number of flows that entered the network.
+        """
+        start[fids] = t
+        if view is topology:
+            route_list = routes_of(fids)
+        else:
+            keep: list[int] = []
+            route_list = []
+            for i, f in enumerate(fids.tolist()):
+                route = route_or_park(f, t)
+                if route is not None:
+                    keep.append(i)
+                    route_list.append(route)
+            fids = fids[keep]
+            if rates is not None:
+                rates = rates[keep]
+        active.add_many(fids, route_list, rates=rates,
+                        weights=weight_arr[fids] if weighted else None)
+        if collector is not None:
+            for f, r in zip(fids.tolist(), route_list):
+                collector.flow_injected(float(flows.size[f]), r.shape[0])
+        return fids.shape[0]
+
     succ_indptr = flows.succ_indptr
     succ_indices = flows.succ_indices
 
     def admit_batch(ready: np.ndarray, t: float) -> int:
-        """Admit a batch of ready flows at ``t`` in one vectorised pass.
+        """Admit a batch of ready flows at ``t`` with a zero seeded rate.
 
-        All admitted flows start at ``t`` with a zero seeded rate (every
-        caller reallocates before any rate is read).  Zero-hop flows fall
-        back to the per-flow cascade.  Returns the number of flows that
-        entered the network.
+        Zero-hop flows fall back to the per-flow cascade.  Returns the
+        number of flows that entered the network.
         """
         admitted = 0
         if adaptive:
-            # per-flow admission: each selection must see the occupancy
-            # left by the flows admitted just before it, which the
-            # vectorised path below (route everything, then add_many)
-            # would hide — an entire batch would pile onto one candidate
             for f in ready.tolist():
                 admitted += inject(f, t, 0.0)
             return admitted
         zero_hop = src_ep[ready] == dst_ep[ready]
         routed = ready[~zero_hop]
         if routed.shape[0]:
-            start[routed] = t
-            route_list = routes_of(routed)
-            active.add_many(routed, route_list,
-                            weights=weight_arr[routed] if weighted else None)
-            if collector is not None:
-                for f, r in zip(routed.tolist(), route_list):
-                    collector.flow_injected(float(flows.size[f]),
-                                            r.shape[0])
-            admitted += routed.shape[0]
+            admitted += admit(routed, t)
         for f in ready[zero_hop].tolist():
             admitted += inject(f, t, 0.0)
         return admitted
@@ -455,7 +494,7 @@ def simulate(topology: Topology, flows: FlowSet, *,
         """Retire an approx-mode completion batch and release successors.
 
         Approx mode seeds each released flow with the rate of the
-        predecessor whose decrement drove its indegree to zero — in the
+        predecessor whose decrement drove its indegree to zero — in a
         per-flow walk, the *last* occurrence of that successor across the
         batch's concatenated successor lists.  This vectorised path
         reproduces that pairing (stable sort, last occurrence per unique
@@ -491,16 +530,75 @@ def simulate(topology: Topology, flows: FlowSet, *,
         last_pos = order[np.cumsum(cnt) - 1]   # per unique: last occurrence
         trig = last_pos[ready_mask]
         seq = np.argsort(trig, kind="stable")  # back to trigger order
-        ready = uniq[ready_mask][seq]
-        inherit = rep_rates[trig[seq]]
-        start[ready] = t
-        route_list = routes_of(ready)
-        active.add_many(ready, route_list, rates=inherit,
-                        weights=weight_arr[ready] if weighted else None)
-        if collector is not None:
-            for f, r in zip(ready.tolist(), route_list):
-                collector.flow_injected(float(flows.size[f]), r.shape[0])
-        return ready.shape[0]
+        return admit(uniq[ready_mask][seq], t, rep_rates[trig[seq]])
+
+    def readmit(f: int, route: np.ndarray,
+                batch: list[tuple[int, np.ndarray]]) -> None:
+        """Queue a rerouted or recovered flow for re-admission at a zero
+        seeded rate; adaptive routing adds it at once, so the next
+        selection sees the occupancy it leaves."""
+        if adaptive:
+            active.add(f, route, weight=float(weight_arr[f]) if weighted
+                       else 1.0)
+        else:
+            batch.append((f, route))
+
+    def readmit_batch(batch: list[tuple[int, np.ndarray]]) -> None:
+        if batch:
+            fids = np.asarray([f for f, _ in batch], dtype=np.int64)
+            active.add_many(fids, [r for _, r in batch],
+                            weights=weight_arr[fids] if weighted else None)
+
+    def apply_epoch(t: float) -> None:
+        """Advance to the next epoch: swap the routing view, reroute the
+        flows it cuts, and retry the parked ones."""
+        nonlocal epoch_idx, view, route_of, routes_of, next_change
+        epoch_idx += 1
+        view = view_of(epoch_idx)
+        next_change = start_of(epoch_idx + 1)
+        route_of, routes_of = _make_route_fn(view, src_ep, dst_ep,
+                                             route_cache, collector,
+                                             routing, occupancy)
+        counters["fault_events"] += 1
+
+        # flows whose route the new fault state just cut (repairs disable
+        # nothing, so a pure-repair epoch recovers parked flows only),
+        # re-added after *all* removals in ascending-id order
+        cut: list[int] = []
+        if view is not topology and active.size:
+            mask = view.disabled_link_mask()
+            cut = sorted(f for f, route in zip(active.flow_ids.tolist(),
+                                               active.route_list())
+                         if mask[route].any())
+        if cut:
+            active.remove_many(np.asarray(cut, dtype=np.int64))
+        batch: list[tuple[int, np.ndarray]] = []
+        for f in cut:
+            route = route_or_park(f, t)
+            if route is None:
+                continue
+            readmit(f, route, batch)
+            counters["flows_rerouted"] += 1
+            counters["rerouted_bits"] += float(remaining[f])
+        readmit_batch(batch)
+        batch = []
+        for f in sorted(parked):
+            try:
+                route = route_of(f)
+            except DegradedNetworkError:
+                continue  # still cut; retried at the next epoch
+            readmit(f, route, batch)
+            if collector is not None:
+                collector.flow_injected(float(flows.size[f]), route.shape[0])
+            counters["flows_recovered"] += 1
+            counters["recovery_seconds"] += t - parked.pop(f)
+            counters["rerouted_bits"] += float(remaining[f])
+        readmit_batch(batch)
+        if parked and epoch_idx + 1 >= len(epochs):
+            pairs = [(int(src_ep[f]), int(dst_ep[f])) for f in sorted(parked)]
+            raise DegradedNetworkError(
+                pairs, faults=None if view is topology
+                else view.faults.describe())
 
     roots = flows.roots()
     if roots.shape[0] == 0:
@@ -512,14 +610,27 @@ def simulate(topology: Topology, flows: FlowSet, *,
     reallocations = 0
     churn = active.size   # everything new -> allocate on first iteration
     alloc_size = 0
+    force_alloc = False   # set after every epoch transition
     loop_t0 = time.perf_counter() if collector is not None else 0.0
 
     while completed_count < n:
         if active.size == 0:
-            raise SimulationError(
-                f"simulation stalled with {n - completed_count} flows blocked "
-                "(cyclic or unsatisfiable dependencies)")
-        if fidelity == "exact" or churn >= max(1.0, CHURN_FRACTION * alloc_size):
+            if not parked:
+                raise SimulationError(
+                    f"simulation stalled with {n - completed_count} flows "
+                    "blocked (cyclic or unsatisfiable dependencies)")
+            # everything in flight waits on a repair: jump straight to the
+            # next fault event (route_or_park only parks when a later
+            # epoch exists, so this terminates)
+            now = max(now, next_change)
+            apply_epoch(now)
+            force_alloc = True
+            events += 1
+            if events > max_events:
+                raise SimulationError(f"exceeded {max_events} events")
+            continue
+        if fidelity == "exact" or force_alloc \
+                or churn >= max(1.0, CHURN_FRACTION * alloc_size):
             stats: dict | None = {} if collector is not None else None
             t0 = time.perf_counter() if collector is not None else 0.0
             active.allocate(stats=stats)
@@ -529,6 +640,8 @@ def simulate(topology: Topology, flows: FlowSet, *,
                     reason = "warm"
                 elif fidelity == "exact":
                     reason = "forced"
+                elif force_alloc:
+                    reason = "fault"
                 else:
                     reason = "initial" if reallocations == 0 else "churn"
                 collector.record_allocation(active.size, stats["iterations"],
@@ -537,6 +650,7 @@ def simulate(topology: Topology, flows: FlowSet, *,
             reallocations += 1
             churn = 0
             alloc_size = active.size
+            force_alloc = False
 
         ids = active.flow_ids
         rates = active.rates
@@ -553,6 +667,24 @@ def simulate(topology: Topology, flows: FlowSet, *,
                 f"flow(s) {bad.tolist()[:8]} have a non-finite completion "
                 f"deadline: the allocator froze them at zero rate "
                 f"(fidelity={fidelity!r}, event {events})")
+
+        if next_change < now + dt:
+            # a fault event fires before the earliest completion: charge
+            # partial progress, jump to the boundary, recover and re-plan.
+            # Completions exactly *at* the boundary are not special-cased —
+            # they fall out of the next iteration with dt == 0.
+            dt_fault = next_change - now
+            if collector is not None:
+                collector.account_event(active.route_list(), rates, dt_fault)
+            remaining[ids] -= rates * dt_fault
+            now = next_change
+            apply_epoch(now)
+            force_alloc = True
+            events += 1
+            if events > max_events:
+                raise SimulationError(f"exceeded {max_events} events")
+            continue
+
         # absolute+relative tie window: a pure relative one collapses to a
         # no-op when dt == 0 (simultaneous zero-size flows would then churn
         # one event each instead of batching)
@@ -567,28 +699,12 @@ def simulate(topology: Topology, flows: FlowSet, *,
         remaining[done_ids] = 0.0
         released = 0
         if fidelity == "exact":
+            # rates are reallocated before any released flow's rate is
+            # read, so the completion batch processes vectorised
             completion[done_ids] = now
-            if per_flow and not adaptive:
-                # the historical per-event walk (REPRO_EVENT_BATCH=0):
-                # retire and release flow by flow.  Rates are identical
-                # to the batched path — exact mode reallocates from the
-                # membership alone before any rate is read — which the
-                # equivalence suite asserts bitwise.  Adaptive routing
-                # keeps the batched-release admission order either way:
-                # its route choices feed on occupancy, and release_batch
-                # already admits adaptively per flow.
-                for fid in done_ids.tolist():
-                    active.remove(fid)
-                    for succ in flows.successors(fid).tolist():
-                        indegree[succ] -= 1
-                        if indegree[succ] == 0:
-                            released += inject(succ, now, 0.0)
-            else:
-                # rates are reallocated before any released flow's rate
-                # is read, so the completion batch processes vectorised
-                active.remove_many(done_ids)
-                released = release_batch(done_ids, now)
-        elif per_flow:
+            active.remove_many(done_ids)
+            released = release_batch(done_ids, now)
+        elif adaptive:
             for fid, rate in zip(done_ids.tolist(), done_rates.tolist()):
                 completion[fid] = now
                 active.remove(fid)
@@ -608,6 +724,8 @@ def simulate(topology: Topology, flows: FlowSet, *,
     snap = None
     if collector is not None:
         collector.add_time("event_loop", time.perf_counter() - loop_t0)
+        if epochs:
+            collector.record_transient(counters)
         snap = collector.snapshot(topology, now)
     return SimulationResult(
         makespan=now,
@@ -619,181 +737,11 @@ def simulate(topology: Topology, flows: FlowSet, *,
         events=events,
         total_bits=flows.total_bits,
         metrics=snap,
-        allocator_stats={"allocator": allocator,
+        allocator_stats={"allocator": "incremental",
                          "full_passes": active.full_passes,
                          "warm_fills": active.warm_fills,
                          "relevel_fills": active.relevel_fills},
-    )
-
-
-def _simulate_rebuild(topology: Topology, flows: FlowSet,
-                      placement: np.ndarray, fidelity: str,
-                      max_events: int,
-                      route_cache: dict | None,
-                      collector: MetricsCollector | None,
-                      routing: str = "deterministic"
-                      ) -> SimulationResult:
-    """The historical rebuild-per-event engine, kept verbatim.
-
-    Every event re-materialises the active list (Python list filtering),
-    re-concatenates all active routes into a fresh CSR, and hands it to
-    the reference :func:`repro.engine.maxmin.allocate` to recompute
-    progressive filling from zero state.  This is the baseline the
-    incremental engine is benchmarked and verified against — both
-    produce identical rates, makespans and event counts.
-    """
-    n = flows.num_flows
-    capacities = topology.links.capacities
-    remaining = flows.size.copy()
-    indegree = flows.indegree.copy()
-    completion = np.full(n, np.nan)
-    start = np.full(n, np.nan)
-    weighted = flows.is_weighted
-    routes: list[np.ndarray | None] = [None] * n
-
-    if route_cache is None:
-        route_cache = {}
-    src_ep = placement[flows.src]
-    dst_ep = placement[flows.dst]
-    # local occupancy mirror for adaptive selection (this engine has no
-    # persistent ActiveSet to maintain one)
-    occ = np.zeros(capacities.shape[0], dtype=np.int64) \
-        if routing == "adaptive" else None
-    route_of, _ = _make_route_fn(
-        topology, src_ep, dst_ep, route_cache, collector, routing,
-        (lambda: occ) if occ is not None else None)
-
-    completed_count = 0
-
-    def inject(fid: int, t: float, rate: float,
-               out_ids: list[int], out_rates: list[float]) -> None:
-        nonlocal completed_count
-        stack = [(fid, rate)]
-        while stack:
-            f, r = stack.pop()
-            start[f] = t
-            route = route_of(f)
-            if collector is not None:
-                collector.flow_injected(float(flows.size[f]), route.shape[0])
-            if route.shape[0]:
-                routes[f] = route
-                if occ is not None:
-                    occ[route] += 1
-                out_ids.append(f)
-                out_rates.append(r)
-                continue
-            completion[f] = t
-            remaining[f] = 0.0
-            completed_count += 1
-            for succ in flows.successors(f).tolist():
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    stack.append((succ, r))
-
-    roots = flows.roots().tolist()
-    if not roots:
-        raise SimulationError("no injectable flows: dependency graph has no roots")
-    active: list[int] = []
-    for fid in roots:
-        inject(fid, 0.0, 0.0, active, [])
-    rates = np.zeros(len(active), dtype=np.float64)  # aligned with `active`
-
-    now = 0.0
-    events = 0
-    reallocations = 0
-    churn = len(active)   # everything new -> allocate on first iteration
-    alloc_size = 0
-    loop_t0 = time.perf_counter() if collector is not None else 0.0
-
-    while completed_count < n:
-        if not active:
-            raise SimulationError(
-                f"simulation stalled with {n - completed_count} flows blocked "
-                "(cyclic or unsatisfiable dependencies)")
-        if fidelity == "exact" or churn >= max(1.0, CHURN_FRACTION * alloc_size):
-            route_list = [routes[f] for f in active]
-            entries = np.concatenate(route_list)
-            ptr = np.zeros(len(active) + 1, dtype=np.int64)
-            np.cumsum([r.shape[0] for r in route_list], out=ptr[1:])
-            weights = flows.weight[np.asarray(active)] if weighted else None
-            if collector is None:
-                rates = allocate(entries, ptr, capacities, weights)
-            else:
-                stats: dict = {}
-                t0 = time.perf_counter()
-                rates = allocate(entries, ptr, capacities, weights,
-                                 stats=stats)
-                reason = "forced" if fidelity == "exact" else \
-                    ("initial" if reallocations == 0 else "churn")
-                collector.record_allocation(len(active), stats["iterations"],
-                                            reason,
-                                            time.perf_counter() - t0)
-            reallocations += 1
-            churn = 0
-            alloc_size = len(active)
-
-        ids = np.asarray(active, dtype=np.int64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a zero or NaN rate yields a non-finite deadline, reported as
-            # a typed error below — never as a numpy RuntimeWarning
-            deadlines = remaining[ids] / rates
-        dt = float(deadlines.min())
-        if not np.isfinite(dt):
-            bad = ids[~np.isfinite(deadlines)]
-            raise SimulationError(
-                f"flow(s) {bad.tolist()[:8]} have a non-finite completion "
-                f"deadline: the allocator froze them at zero rate "
-                f"(fidelity={fidelity!r}, event {events})")
-        done_mask = deadlines <= dt + max(dt, 1.0) * _TIE_EPS
-        if collector is not None:
-            collector.account_event([routes[f] for f in active], rates, dt)
-        now += dt
-        remaining[ids] -= rates * dt
-        remaining[ids[done_mask]] = 0.0
-
-        done_ids = ids[done_mask]
-        done_rates = rates[done_mask]
-        released: list[int] = []
-        released_rates: list[float] = []
-        for fid, rate in zip(done_ids.tolist(), done_rates.tolist()):
-            completion[fid] = now
-            if occ is not None:
-                occ[routes[fid]] -= 1
-            routes[fid] = None  # release the route reference
-            for succ in flows.successors(fid).tolist():
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    # rate is inherited by the release (approx mode)
-                    inject(succ, now, rate, released, released_rates)
-        completed_count += int(done_mask.sum())
-        events += 1
-        if events > max_events:
-            raise SimulationError(f"exceeded {max_events} events")
-
-        keep = ~done_mask
-        active = [f for f, k in zip(active, keep.tolist()) if k] + released
-        rates = np.concatenate([rates[keep], np.asarray(released_rates)]) \
-            if released else rates[keep]
-        churn += len(done_ids) + len(released)
-
-    snap = None
-    if collector is not None:
-        collector.add_time("event_loop", time.perf_counter() - loop_t0)
-        snap = collector.snapshot(topology, now)
-    return SimulationResult(
-        makespan=now,
-        completion_times=completion,
-        start_times=start,
-        fidelity=fidelity,
-        num_flows=n,
-        reallocations=reallocations,
-        events=events,
-        total_bits=flows.total_bits,
-        metrics=snap,
-        allocator_stats={"allocator": "rebuild",
-                         "full_passes": reallocations,
-                         "warm_fills": 0,
-                         "relevel_fills": 0},
+        transient=dict(counters) if epochs else None,
     )
 
 

@@ -135,7 +135,7 @@ class MetricsCollector:
         self.timers_s[name] = self.timers_s.get(name, 0.0) + seconds
 
     def record_transient(self, counters: dict) -> None:
-        """Attach the transient engine's recovery counters (snapshotted)."""
+        """Attach a fault-timeline run's recovery counters (snapshotted)."""
         self.transient = dict(counters)
 
     # --------------------------------------------------------------- snapshot
@@ -203,7 +203,7 @@ class MetricsCollector:
         }
         if self.transient is not None:
             # extra key (validation checks missing fields only): recovery
-            # counters from the transient engine, absent on healthy runs
+            # recovery counters of a fault-timeline run, absent otherwise
             out["transient"] = dict(self.transient)
         return out
 

@@ -210,7 +210,7 @@ class DegradedTopology(Topology):
 
         Failed cables plus every endpoint<->switch link of a dead uplink
         port; NIC links never appear.  The link-level ground truth of
-        :meth:`_walk_survives` — the transient engine uses it to find the
+        :meth:`_walk_survives` — the engine's fault epochs use it to find the
         in-flight flows a fault event just cut, and the property tests use
         it to assert candidate routes stay on surviving links.  Built
         lazily once (O(links)); cached per wrapper.

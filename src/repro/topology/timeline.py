@@ -3,9 +3,9 @@
 The static fault model (:class:`~repro.topology.degraded.FaultSet`) fixes
 the broken machine before a simulation starts.  At the paper's
 131,072-QFDB scale, component MTBF guarantees faults arrive *during* jobs:
-this module provides the reproducible event sequences the transient engine
-(:mod:`repro.engine.transient`) merges with flow completions, so the
-network degrades and heals mid-run.
+this module provides the reproducible event sequences that
+:func:`repro.engine.simulate` merges with flow completions as a second
+event source, so the network degrades and heals mid-run.
 
 A :class:`FaultTimeline` is an ordered sequence of :class:`FaultEvent`
 records with absolute timestamps.  Events at or before t=0 describe the

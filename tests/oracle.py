@@ -1,0 +1,255 @@
+"""The event-loop oracle: the historical rebuild-per-event engine.
+
+:func:`repro.engine.simulate` is the only event loop in ``src/``.  This
+module keeps the engine it replaced, verbatim, as the reference the
+equivalence suites compare it against: a per-flow completion walk that
+rebuilds the active list and the route CSR at every allocation and hands
+them to the from-scratch reference :func:`repro.engine.maxmin.allocate`.
+It shares only the route closures, the placement check and the loop
+constants with the engine under test.  Fault timelines are out of its scope.
+
+:func:`assert_results_identical` is the comparison every equivalence
+suite uses.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from repro.engine.flows import FlowSet
+from repro.engine.maxmin import allocate
+from repro.engine.results import SimulationResult
+from repro.engine.simulator import (_FIDELITIES, _TIE_EPS, CHURN_FRACTION,
+                                    _check_placement, _make_route_fn)
+from repro.errors import SimulationError
+from repro.routing.policy import validate_policy
+from repro.topology.base import Topology
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.metrics import MetricsCollector
+
+
+def assert_results_identical(a: SimulationResult, b: SimulationResult,
+                             label_a: str, label_b: str) -> None:
+    """Assert two simulation results are bitwise-identical.
+
+    Every float compares equal (NaN patterns included), not merely close:
+    the engine is specified as an *exact* replacement of the oracle, so
+    any ULP of drift is a bug, not noise.
+    """
+    ctx = f"[{label_a} vs {label_b}]"
+    assert a.makespan == b.makespan, \
+        f"{ctx} makespan {a.makespan!r} != {b.makespan!r}"
+    np.testing.assert_array_equal(
+        a.completion_times, b.completion_times,
+        err_msg=f"{ctx} completion_times differ")
+    np.testing.assert_array_equal(
+        a.start_times, b.start_times, err_msg=f"{ctx} start_times differ")
+    assert a.events == b.events, \
+        f"{ctx} events {a.events} != {b.events}"
+    assert a.reallocations == b.reallocations, \
+        f"{ctx} reallocations {a.reallocations} != {b.reallocations}"
+    assert a.fidelity == b.fidelity and a.num_flows == b.num_flows, ctx
+    assert a.transient == b.transient, \
+        f"{ctx} transient counters {a.transient} != {b.transient}"
+
+
+def simulate_rebuild(topology: Topology, flows: FlowSet, *,
+                     placement: np.ndarray | None = None,
+                     fidelity: str = "exact",
+                     max_events: int = 50_000_000,
+                     route_cache: dict | None = None,
+                     metrics: MetricsCollector | None = None,
+                     routing: str = "deterministic") -> SimulationResult:
+    """:func:`repro.engine.simulate`'s signature (minus the fault
+    timeline) and argument validation, run on the rebuild engine."""
+    if fidelity not in _FIDELITIES:
+        raise SimulationError(f"fidelity must be one of {_FIDELITIES}")
+    routing = validate_policy(routing)
+    placement = _check_placement(topology, flows, placement)
+    if metrics is not None:
+        metrics.set_routing(routing)
+    if flows.num_flows == 0:
+        snap = metrics.snapshot(topology, 0.0) if metrics is not None \
+            else None
+        return SimulationResult(makespan=0.0, completion_times=np.empty(0),
+                                start_times=np.empty(0),
+                                fidelity=fidelity, num_flows=0,
+                                reallocations=0, events=0, total_bits=0.0,
+                                metrics=snap)
+    return _simulate_rebuild(topology, flows, placement, fidelity,
+                             max_events, route_cache, metrics, routing)
+
+
+def _simulate_rebuild(topology: Topology, flows: FlowSet,
+                      placement: np.ndarray, fidelity: str,
+                      max_events: int,
+                      route_cache: dict | None,
+                      collector: MetricsCollector | None,
+                      routing: str = "deterministic"
+                      ) -> SimulationResult:
+    """The historical rebuild-per-event engine, kept verbatim.
+
+    Every event re-materialises the active list (Python list filtering),
+    re-concatenates all active routes into a fresh CSR, and hands it to
+    the reference :func:`repro.engine.maxmin.allocate` to recompute
+    progressive filling from zero state.  This is the baseline the
+    incremental engine is benchmarked and verified against — both
+    produce identical rates, makespans and event counts.
+    """
+    n = flows.num_flows
+    capacities = topology.links.capacities
+    remaining = flows.size.copy()
+    indegree = flows.indegree.copy()
+    completion = np.full(n, np.nan)
+    start = np.full(n, np.nan)
+    weighted = flows.is_weighted
+    routes: list[np.ndarray | None] = [None] * n
+
+    if route_cache is None:
+        route_cache = {}
+    src_ep = placement[flows.src]
+    dst_ep = placement[flows.dst]
+    # local occupancy mirror for adaptive selection (this engine has no
+    # persistent ActiveSet to maintain one)
+    occ = np.zeros(capacities.shape[0], dtype=np.int64) \
+        if routing == "adaptive" else None
+    route_of, _ = _make_route_fn(
+        topology, src_ep, dst_ep, route_cache, collector, routing,
+        (lambda: occ) if occ is not None else None)
+
+    completed_count = 0
+
+    def inject(fid: int, t: float, rate: float,
+               out_ids: list[int], out_rates: list[float]) -> None:
+        nonlocal completed_count
+        stack = [(fid, rate)]
+        while stack:
+            f, r = stack.pop()
+            start[f] = t
+            route = route_of(f)
+            if collector is not None:
+                collector.flow_injected(float(flows.size[f]), route.shape[0])
+            if route.shape[0]:
+                routes[f] = route
+                if occ is not None:
+                    occ[route] += 1
+                out_ids.append(f)
+                out_rates.append(r)
+                continue
+            completion[f] = t
+            remaining[f] = 0.0
+            completed_count += 1
+            for succ in flows.successors(f).tolist():
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    stack.append((succ, r))
+
+    roots = flows.roots().tolist()
+    if not roots:
+        raise SimulationError("no injectable flows: dependency graph has no roots")
+    active: list[int] = []
+    for fid in roots:
+        inject(fid, 0.0, 0.0, active, [])
+    rates = np.zeros(len(active), dtype=np.float64)  # aligned with `active`
+
+    now = 0.0
+    events = 0
+    reallocations = 0
+    churn = len(active)   # everything new -> allocate on first iteration
+    alloc_size = 0
+    loop_t0 = time.perf_counter() if collector is not None else 0.0
+
+    while completed_count < n:
+        if not active:
+            raise SimulationError(
+                f"simulation stalled with {n - completed_count} flows blocked "
+                "(cyclic or unsatisfiable dependencies)")
+        if fidelity == "exact" or churn >= max(1.0, CHURN_FRACTION * alloc_size):
+            route_list = [routes[f] for f in active]
+            entries = np.concatenate(route_list)
+            ptr = np.zeros(len(active) + 1, dtype=np.int64)
+            np.cumsum([r.shape[0] for r in route_list], out=ptr[1:])
+            weights = flows.weight[np.asarray(active)] if weighted else None
+            if collector is None:
+                rates = allocate(entries, ptr, capacities, weights)
+            else:
+                stats: dict = {}
+                t0 = time.perf_counter()
+                rates = allocate(entries, ptr, capacities, weights,
+                                 stats=stats)
+                reason = "forced" if fidelity == "exact" else \
+                    ("initial" if reallocations == 0 else "churn")
+                collector.record_allocation(len(active), stats["iterations"],
+                                            reason,
+                                            time.perf_counter() - t0)
+            reallocations += 1
+            churn = 0
+            alloc_size = len(active)
+
+        ids = np.asarray(active, dtype=np.int64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a zero or NaN rate yields a non-finite deadline, reported as
+            # a typed error below — never as a numpy RuntimeWarning
+            deadlines = remaining[ids] / rates
+        dt = float(deadlines.min())
+        if not np.isfinite(dt):
+            bad = ids[~np.isfinite(deadlines)]
+            raise SimulationError(
+                f"flow(s) {bad.tolist()[:8]} have a non-finite completion "
+                f"deadline: the allocator froze them at zero rate "
+                f"(fidelity={fidelity!r}, event {events})")
+        done_mask = deadlines <= dt + max(dt, 1.0) * _TIE_EPS
+        if collector is not None:
+            collector.account_event([routes[f] for f in active], rates, dt)
+        now += dt
+        remaining[ids] -= rates * dt
+        remaining[ids[done_mask]] = 0.0
+
+        done_ids = ids[done_mask]
+        done_rates = rates[done_mask]
+        released: list[int] = []
+        released_rates: list[float] = []
+        for fid, rate in zip(done_ids.tolist(), done_rates.tolist()):
+            completion[fid] = now
+            if occ is not None:
+                occ[routes[fid]] -= 1
+            routes[fid] = None  # release the route reference
+            for succ in flows.successors(fid).tolist():
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    # rate is inherited by the release (approx mode)
+                    inject(succ, now, rate, released, released_rates)
+        completed_count += int(done_mask.sum())
+        events += 1
+        if events > max_events:
+            raise SimulationError(f"exceeded {max_events} events")
+
+        keep = ~done_mask
+        active = [f for f, k in zip(active, keep.tolist()) if k] + released
+        rates = np.concatenate([rates[keep], np.asarray(released_rates)]) \
+            if released else rates[keep]
+        churn += len(done_ids) + len(released)
+
+    snap = None
+    if collector is not None:
+        collector.add_time("event_loop", time.perf_counter() - loop_t0)
+        snap = collector.snapshot(topology, now)
+    return SimulationResult(
+        makespan=now,
+        completion_times=completion,
+        start_times=start,
+        fidelity=fidelity,
+        num_flows=n,
+        reallocations=reallocations,
+        events=events,
+        total_bits=flows.total_bits,
+        metrics=snap,
+        allocator_stats={"allocator": "rebuild",
+                         "full_passes": reallocations,
+                         "warm_fills": 0,
+                         "relevel_fills": 0},
+    )

@@ -1,16 +1,17 @@
-"""Equivalence regression: batched vs per-flow event loop.
+"""Equivalence regression for the event loop.
 
-The scaling work vectorised the event loop's completion handling — same-
-instant completions retire through one ``remove_many``, released
-successors admit through one ``add_many`` with batch-inherited rates,
-and fault-boundary recovery reroutes in bulk.  The historical per-flow
-walk is still reachable via ``REPRO_EVENT_BATCH=0`` (and is what the
-adaptive policy always uses), and this suite pins the two paths to
-bitwise-identical :class:`~repro.engine.results.SimulationResult`s:
-3 workloads x 2 fidelities x 3 routing policies, healthy and transient.
+:func:`repro.engine.simulate` processes same-instant completions in
+batches — one ``remove_many`` per completion batch, one ``add_many`` per
+release batch with batch-inherited rates, batched rerouting at fault
+boundaries — except where adaptive routing needs the per-flow walk.
 
-These are regression tests for the *loop*, not the allocator — the
-kernel backends have their own differential suite (``-m kernel_diff``).
+* Healthy runs are compared bitwise against the loop oracle
+  (:func:`tests.oracle.simulate_rebuild`, the per-flow rebuild-per-event
+  engine): 3 workloads x 2 fidelities x 3 routing policies, plus the
+  weighted and zero-hop cases.
+* Fault-timeline runs have no oracle; they are pinned to the makespan
+  (``float.hex``), event, reallocation and recovery counts the separate
+  transient event loop produced before it was folded into ``simulate``.
 """
 
 from __future__ import annotations
@@ -21,89 +22,119 @@ import pytest
 from repro.engine import simulate
 from repro.topology import FaultTimeline
 from repro.workloads import build as build_workload
-from tests.difftest import assert_results_identical
+from tests.oracle import assert_results_identical, simulate_rebuild
 
 _WORKLOADS = ("allreduce", "permutation", "unstructuredhr")
 _POLICIES = ("deterministic", "ecmp", "adaptive")
 
 
-def _run_both(monkeypatch, scenario):
-    """Run ``scenario`` with batching on and off; assert identical."""
-    monkeypatch.setenv("REPRO_EVENT_BATCH", "1")
-    batched = scenario()
-    monkeypatch.setenv("REPRO_EVENT_BATCH", "0")
-    per_flow = scenario()
-    assert_results_identical(batched, per_flow, "batched", "per-flow")
-    return batched
+def _against_oracle(**kwargs):
+    """Run ``simulate`` and the oracle on ``kwargs``; assert identical."""
+    result = simulate(**kwargs)
+    assert_results_identical(result, simulate_rebuild(**kwargs),
+                             "engine", "oracle")
+    return result
+
+
+def _transient(rerouted, bits, fault_events=8):
+    return {"fault_events": fault_events, "flows_rerouted": rerouted,
+            "flows_parked": 0, "flows_recovered": 0,
+            "rerouted_bits": bits, "recovery_seconds": 0.0}
+
+
+#: (fidelity, routing) -> (makespan hex, events, reallocations, counters)
+#: of the allreduce fault-boundary scenario below.
+_BOUNDARIES = {
+    ("exact", "deterministic"):
+        ("0x1.4ae3503291de8p-8", 47, 47, _transient(2, 4739599.34995815)),
+    ("exact", "ecmp"):
+        ("0x1.a2037e1651d51p-8", 123, 123, _transient(2, 4739599.34995815)),
+    ("exact", "adaptive"):
+        ("0x1.4ae3503291de7p-8", 48, 48, _transient(2, 4739599.34995815)),
+    ("approx", "deterministic"):
+        ("0x1.4ae3503291de6p-8", 49, 41, _transient(2, 4739599.34995815)),
+    ("approx", "ecmp"):
+        ("0x1.a1ece5312d177p-8", 124, 79, _transient(2, 4739599.34995815)),
+    ("approx", "adaptive"):
+        ("0x1.4ae3503291de6p-8", 54, 42, _transient(2, 4739599.34995815)),
+}
+
+#: fidelity -> pinned result of the many-cables unstructuredhr scenario.
+_MANY_CABLES = {
+    "exact": ("0x1.4427c8ef3ad06p-6", 83, 83,
+              _transient(27, 20624770.480933223, 16)),
+    "approx": ("0x1.445f54bd29e35p-6", 83, 28,
+               _transient(27, 20624770.480933223, 16)),
+}
+
+
+def assert_pinned(result, pinned) -> None:
+    makespan, events, reallocations, transient = pinned
+    assert result.makespan.hex() == makespan
+    assert result.events == events
+    assert result.reallocations == reallocations
+    assert result.transient == transient
 
 
 class TestHealthyLoop:
     @pytest.mark.parametrize("workload", _WORKLOADS)
     @pytest.mark.parametrize("fidelity", ("exact", "approx"))
     @pytest.mark.parametrize("routing", _POLICIES)
-    def test_batched_matches_per_flow(self, monkeypatch, small_nesttree,
-                                      workload, fidelity, routing):
+    def test_batched_matches_per_flow(self, small_nesttree, workload,
+                                      fidelity, routing):
         flows = build_workload(workload, small_nesttree.num_endpoints,
                                seed=0).build()
-        result = _run_both(
-            monkeypatch,
-            lambda: simulate(small_nesttree, flows, fidelity=fidelity,
-                             routing=routing))
+        result = _against_oracle(topology=small_nesttree, flows=flows,
+                                 fidelity=fidelity, routing=routing)
         assert result.transient is None
         assert np.isfinite(result.completion_times).all()
 
-    def test_weighted_workload(self, monkeypatch, small_fattree):
+    def test_weighted_workload(self, small_fattree):
         flows = build_workload("mapreduce", small_fattree.num_endpoints,
                                seed=3).build()
         for fidelity in ("exact", "approx"):
-            _run_both(monkeypatch,
-                      lambda: simulate(small_fattree, flows,
-                                       fidelity=fidelity))
+            _against_oracle(topology=small_fattree, flows=flows,
+                            fidelity=fidelity)
 
-    def test_oversubscribed_placement_zero_hop(self, monkeypatch,
-                                               small_torus):
+    def test_oversubscribed_placement_zero_hop(self, small_torus):
         """Co-located tasks exercise the zero-hop sequential fallback."""
         tasks = small_torus.num_endpoints * 2
         flows = build_workload("allreduce", tasks, seed=0).build()
         placement = np.arange(tasks) % small_torus.num_endpoints
         for fidelity in ("exact", "approx"):
-            _run_both(monkeypatch,
-                      lambda: simulate(small_torus, flows,
-                                       placement=placement,
-                                       fidelity=fidelity))
+            _against_oracle(topology=small_torus, flows=flows,
+                            placement=placement, fidelity=fidelity)
 
 
 class TestTransientLoop:
     @pytest.mark.parametrize("fidelity", ("exact", "approx"))
     @pytest.mark.parametrize("routing", _POLICIES)
-    def test_fault_boundaries_match(self, monkeypatch, small_nesttree,
-                                    fidelity, routing):
+    def test_fault_boundaries_match(self, small_nesttree, fidelity,
+                                    routing):
         flows = build_workload("allreduce", small_nesttree.num_endpoints,
                                seed=0).build()
         base = simulate(small_nesttree, flows)
         tl = FaultTimeline.sample(small_nesttree, cables=4, seed=3,
                                   horizon=base.makespan * 0.8,
                                   mttr=base.makespan * 0.25)
-        result = _run_both(
-            monkeypatch,
-            lambda: simulate(small_nesttree, flows, fidelity=fidelity,
-                             routing=routing, fault_timeline=tl))
-        assert result.transient is not None
+        result = simulate(small_nesttree, flows, fidelity=fidelity,
+                          routing=routing, fault_timeline=tl)
+        assert_pinned(result, _BOUNDARIES[fidelity, routing])
         assert result.transient["fault_events"] > 0
 
-    def test_parked_flow_recovery_matches(self, monkeypatch,
-                                          small_nesttree):
-        """A timeline that disconnects pairs parks and later recovers."""
+    def test_parked_flow_recovery_matches(self, small_nesttree):
+        """Many cables out at once: most in-flight flows are rerouted.
+
+        Parking itself is pinned by the 512-endpoint campaign golden in
+        ``tests/test_campaign.py``, whose fattree seeds park flows.
+        """
         flows = build_workload("unstructuredhr",
                                small_nesttree.num_endpoints, seed=1).build()
         base = simulate(small_nesttree, flows)
-        # many cables out at once maximises the chance of parked pairs;
-        # sample() keeps the network's fate deterministic per seed
         tl = FaultTimeline.sample(small_nesttree, cables=8, seed=11,
                                   horizon=base.makespan * 0.6,
                                   mttr=base.makespan * 0.2)
         for fidelity in ("exact", "approx"):
-            _run_both(monkeypatch,
-                      lambda: simulate(small_nesttree, flows,
-                                       fidelity=fidelity,
-                                       fault_timeline=tl))
+            assert_pinned(simulate(small_nesttree, flows,
+                                   fidelity=fidelity, fault_timeline=tl),
+                          _MANY_CABLES[fidelity])

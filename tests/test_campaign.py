@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,9 @@ from repro.sweep import (CAMPAIGN_SCHEMA_VERSION, campaign_table,
 from repro.sweep.campaign import _select_topologies
 
 ENDPOINTS = 64
+
+#: The committed 512-endpoint campaign report (EXPERIMENTS.md).
+GOLDEN = Path(__file__).resolve().parents[1] / "results" / "campaign_512.json"
 
 
 class TestParseSeedRange:
@@ -158,6 +162,30 @@ class TestRunCampaign:
             tiny_campaign(horizon_frac=0.0)
         with pytest.raises(ConfigError, match="bootstrap"):
             tiny_campaign(bootstrap=0)
+
+    def test_matches_committed_512_report(self):
+        """Golden: a slice of ``results/campaign_512.json`` reruns exactly.
+
+        The fattree seeds park and later recover flows, the nesttree
+        seeds reroute in-flight flows, so both recovery paths of the
+        fault-timeline event source are pinned bit for bit.
+        """
+        golden = json.loads(GOLDEN.read_text())
+        by_label = {row["topology"]: {s["seed"]: s for s in row["by_seed"]}
+                    for row in golden["topologies"]}
+        report = run_campaign(
+            endpoints=512, workload=WorkloadSpec("allreduce"),
+            topologies=[TopologySpec("nesttree", {"t": 2, "u": 4}),
+                        TopologySpec("fattree")],
+            seeds=[0, 1, 2], cables=8)
+        parked = 0
+        for row in report["topologies"]:
+            assert row["failed"] == []
+            assert [s["seed"] for s in row["by_seed"]] == [0, 1, 2]
+            for sample in row["by_seed"]:
+                assert sample == by_label[row["topology"]][sample["seed"]]
+                parked += sample["transient"]["flows_parked"]
+        assert parked > 0
 
     def test_table_renders_every_row(self):
         report = tiny_campaign(seeds=[0])

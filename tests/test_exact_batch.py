@@ -1,30 +1,33 @@
 """Equivalence regressions for the exact-fidelity batched completion path.
 
-PR 10 extends the warm-fill machinery to *near-identical* allocation
-states: an exact-mode completion batch retires flows (and admits their
-chained releases on identical routes), and the allocator resumes the
-recorded water-level fill above the churn's threshold instead of paying
-a full progressive-filling pass per event
+The warm-fill machinery extends to *near-identical* allocation states: an
+exact-mode completion batch retires flows (and admits their chained
+releases on identical routes), and the allocator resumes the recorded
+water-level fill above the churn's threshold instead of paying a full
+progressive-filling pass per event
 (:meth:`repro.engine.active.ActiveSet._relevel_fill`).
 
 The path is specified as *bitwise-exact*: every rate, makespan and
-completion time must match what the full pass — and therefore the
-historical per-event walk and the rebuild-per-event baseline — produces.
-This suite pins that claim across workloads, topology families, healthy
-and transient timelines, with the relevel knob (``REPRO_EXACT_RELEVEL``)
-and the event-batch knob (``REPRO_EVENT_BATCH``) toggled independently.
+completion time must match what the full pass — and therefore the loop
+oracle (:func:`tests.oracle.simulate_rebuild`) — produces.  This suite
+pins that claim across workloads, topology families, healthy and
+fault-timeline runs, with the relevel path on and off
+(:attr:`ActiveSet.RELEVEL`), and with a Hypothesis property over random
+near-identical churn.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import simulate
 from repro.engine.active import ActiveSet
 from repro.topology import FaultTimeline
 from repro.workloads import build as build_workload
-from tests.difftest import assert_results_identical
+from tests.oracle import assert_results_identical, simulate_rebuild
 
 _WORKLOADS = ("allreduce", "permutation", "unstructuredhr")
 _FAMILIES = ("small_torus", "small_fattree", "small_ghc", "small_nesttree",
@@ -32,24 +35,21 @@ _FAMILIES = ("small_torus", "small_fattree", "small_ghc", "small_nesttree",
 
 
 def _run_matrix(monkeypatch, scenario):
-    """Run ``scenario`` under every knob combination; assert identical.
+    """Run ``scenario`` with the relevel path on and off; assert identical.
 
-    Returns the default-knob (relevel on, batched) result.
+    Returns the default (relevel on) result.
     """
     results = []
-    for relevel in ("1", "0"):
-        for batch in ("1", "0"):
-            monkeypatch.setenv("REPRO_EXACT_RELEVEL", relevel)
-            monkeypatch.setenv("REPRO_EVENT_BATCH", batch)
-            results.append((f"relevel={relevel},batch={batch}", scenario()))
-    base_label, base = results[0]
-    for label, other in results[1:]:
-        assert_results_identical(base, other, base_label, label)
+    for relevel in (True, False):
+        monkeypatch.setattr(ActiveSet, "RELEVEL", relevel)
+        results.append((f"relevel={relevel}", scenario()))
+    (base_label, base), (label, other) = results
+    assert_results_identical(base, other, base_label, label)
     return base
 
 
 class TestExactBatchEquivalence:
-    """3 workloads x 5 families, healthy: all knob paths bitwise-equal."""
+    """3 workloads x 5 families, healthy: relevel on == off, bitwise."""
 
     @pytest.mark.parametrize("family", _FAMILIES)
     @pytest.mark.parametrize("workload", _WORKLOADS)
@@ -62,23 +62,19 @@ class TestExactBatchEquivalence:
         assert np.isfinite(result.completion_times).all()
 
     @pytest.mark.parametrize("workload", _WORKLOADS)
-    def test_rebuild_baseline(self, monkeypatch, small_nesttree, workload):
-        """The relevel engine still matches the historical rebuild."""
+    def test_rebuild_baseline(self, small_nesttree, workload):
+        """The relevel engine still matches the loop oracle."""
         flows = build_workload(workload, small_nesttree.num_endpoints,
                                seed=0).build()
-        monkeypatch.setenv("REPRO_EXACT_RELEVEL", "1")
         inc = simulate(small_nesttree, flows, fidelity="exact")
-        reb = simulate(small_nesttree, flows, fidelity="exact",
-                       allocator="rebuild")
+        reb = simulate_rebuild(small_nesttree, flows, fidelity="exact")
         assert_results_identical(inc, reb, "incremental", "rebuild")
 
-    def test_relevel_fires_on_independent_flows(self, monkeypatch,
-                                                small_nesttree):
+    def test_relevel_fires_on_independent_flows(self, small_nesttree):
         """Pure-removal churn — the state the warm path never matched —
         now resumes the recorded fill instead of running a full pass."""
         flows = build_workload("unstructuredhr",
                                small_nesttree.num_endpoints, seed=1).build()
-        monkeypatch.setenv("REPRO_EXACT_RELEVEL", "1")
         result = simulate(small_nesttree, flows, fidelity="exact")
         stats = result.allocator_stats
         assert stats["relevel_fills"] > 0
@@ -88,14 +84,32 @@ class TestExactBatchEquivalence:
     def test_knob_disables_relevel(self, monkeypatch, small_nesttree):
         flows = build_workload("unstructuredhr",
                                small_nesttree.num_endpoints, seed=1).build()
-        monkeypatch.setenv("REPRO_EXACT_RELEVEL", "0")
+        monkeypatch.setattr(ActiveSet, "RELEVEL", False)
         result = simulate(small_nesttree, flows, fidelity="exact")
         assert result.allocator_stats["relevel_fills"] == 0
         assert result.allocator_stats["full_passes"] == result.reallocations
 
 
+def _transient(rerouted, bits):
+    return {"fault_events": 8, "flows_rerouted": rerouted,
+            "flows_parked": 0, "flows_recovered": 0,
+            "rerouted_bits": bits, "recovery_seconds": 0.0}
+
+
 class TestTransientExactBatch:
-    """Fault boundaries take the same path: knob matrix stays bitwise."""
+    """Fault boundaries take the same path: relevel on == off, bitwise,
+    and both equal the makespan (``float.hex``), event, reallocation and
+    recovery counts the separate transient event loop produced before it
+    was folded into ``simulate``."""
+
+    PINNED = {
+        "allreduce": ("0x1.4ae3503291de8p-8", 47, 47,
+                      _transient(2, 4739599.34995815)),
+        "permutation": ("0x1.26bc736b8eb55p-10", 23, 23,
+                        _transient(10, 17330343.68454069)),
+        "unstructuredhr": ("0x1.cc6ba580ddaa0p-7", 67, 67,
+                           _transient(28, 41487595.36244224)),
+    }
 
     @pytest.mark.parametrize("workload", _WORKLOADS)
     def test_transient_matrix(self, monkeypatch, small_nesttree, workload):
@@ -109,8 +123,105 @@ class TestTransientExactBatch:
             monkeypatch,
             lambda: simulate(small_nesttree, flows, fidelity="exact",
                              fault_timeline=tl))
-        assert result.transient is not None
-        assert result.transient["fault_events"] > 0
+        makespan, events, reallocations, transient = self.PINNED[workload]
+        assert result.makespan.hex() == makespan
+        assert result.events == events
+        assert result.reallocations == reallocations
+        assert result.transient == transient
+
+
+class TestRelevelProperty:
+    """Hypothesis: near-identical churn — the suffix-resume relevel's
+    territory — stays bitwise on the full pass.
+
+    Each script batch-adds flows from an interned route pool, then runs
+    rounds of removal bursts with optional *matched* re-adds (the same
+    route array object, so the multiset of route keys never gains a
+    member).  That is exactly the state the relevel path claims to
+    resume bitwise; a twin ActiveSet with the path disabled provides the
+    full-pass oracle at every allocation.
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           n_flows=st.integers(12, 48),
+           rounds=st.integers(3, 10),
+           family=st.integers(0, len(_FAMILIES) - 1))
+    def test_near_identical_churn_bitwise(self, all_small_topologies, seed,
+                                          n_flows, rounds, family):
+        topo = all_small_topologies[family]
+        caps = topo.links.capacities
+        rng = np.random.default_rng(seed)
+        n = topo.num_endpoints
+
+        route_pool: dict = {}
+
+        def draw_route():
+            s = int(rng.integers(n))
+            d = int(rng.integers(n))
+            while d == s:
+                d = int(rng.integers(n))
+            route = route_pool.get((s, d))
+            if route is None:
+                route = np.asarray(topo.route(s, d), dtype=np.int64)
+                route_pool[(s, d)] = route
+            return route
+
+        # one churn script: seed adds, then removal bursts with matched
+        # re-adds (never more re-adds than removals of that same route)
+        script: list[tuple] = [("add", fid, draw_route())
+                               for fid in range(n_flows)]
+        alive = {fid: route for _, fid, route in script}
+        next_fid = n_flows
+        script.append(("allocate",))
+        for _ in range(rounds):
+            burst = min(len(alive) - 1, int(rng.integers(1, 5)))
+            if burst <= 0:
+                break
+            removed: list = []
+            for fid in rng.choice(sorted(alive), size=burst,
+                                  replace=False).tolist():
+                script.append(("remove", int(fid)))
+                removed.append(alive.pop(int(fid)))
+            for route in removed:
+                if rng.random() < 0.4:   # matched re-admission
+                    script.append(("add", next_fid, route))
+                    alive[next_fid] = route
+                    next_fid += 1
+            script.append(("allocate",))
+
+        def replay(enabled: bool) -> list[np.ndarray]:
+            active = ActiveSet(caps)
+            active.RELEVEL = enabled
+            log: list[np.ndarray] = []
+            for op in script:
+                if op[0] == "add":
+                    active.add(op[1], op[2])
+                elif op[0] == "remove":
+                    active.remove(op[1])
+                elif active.size:
+                    rates = active.allocate()
+                    # slot order depends only on the script, so rates
+                    # line up positionally between the twin replays
+                    log.append(np.column_stack(
+                        (active.flow_ids, rates)).copy())
+            return log
+
+        fast = replay(True)
+        slow = replay(False)
+        assert len(fast) == len(slow)
+        for i, (a, b) in enumerate(zip(fast, slow)):
+            np.testing.assert_array_equal(
+                a, b, err_msg=f"relevel diverges from full pass at "
+                              f"allocation {i}")
+
+    def test_property_exercises_relevel(self, small_nesttree):
+        """Meta-check: the property's churn shape actually takes the
+        suffix-resume path (guards against a vacuous suite)."""
+        flows = build_workload("unstructuredhr",
+                               small_nesttree.num_endpoints, seed=1).build()
+        result = simulate(small_nesttree, flows, fidelity="exact")
+        assert result.allocator_stats["relevel_fills"] > 0
 
 
 class TestRelevelUnit:
@@ -165,7 +276,7 @@ class TestRelevelUnit:
     def test_net_removal_relevels_bitwise(self, small_nesttree):
         active = self._filled_set(small_nesttree)
         cold = self._filled_set(small_nesttree)
-        cold._relevel_enabled = False
+        cold.RELEVEL = False
         fid = self._eligible_fid(active)
         active.remove(fid)
         cold.remove(fid)

@@ -1,321 +1,52 @@
-"""Differential tests for the fill-kernel backends (``-m kernel_diff``).
+"""End-to-end differential tests: the engine against the loop oracle.
 
-The compiled (numba) kernels are specified as bitwise-exact replacements
-for the pure-NumPy reference — same rates, same water levels, same
-iteration counts, same simulation results.  This suite checks that claim
-three ways:
-
-* end-to-end simulations across every engine-supported topology family,
-  both fidelities and all three routing policies;
-* a Hypothesis property pushing randomized churn through
-  :class:`~repro.engine.active.ActiveSet` under each backend, comparing
-  rates bitwise after every allocation *and* against the reference
-  :func:`repro.engine.maxmin.allocate`;
-* dispatcher behaviour: ``REPRO_KERNELS`` resolution, the forced-backend
-  context manager, and the typed error when the ``[fast]`` extra is
-  requested but missing.
-
-On a machine without the ``[fast]`` extra only the numpy legs run (the
-cross-backend comparisons become no-ops but the reference checks still
-bite); with it installed, every case runs under both backends.  CI runs
-this suite in both environments.
+:func:`repro.engine.simulate` (incremental allocator, NumPy fill kernels,
+batched event loop) must return the same
+:class:`~repro.engine.results.SimulationResult` as
+:func:`tests.oracle.simulate_rebuild` (per-flow walk, from-scratch
+reference allocation) bit for bit, on every engine-supported topology
+family, both fidelities and all three routing policies.  The kernels'
+own properties — random churn against the reference allocation, relevel
+against the full pass — live in ``tests/test_active.py`` and
+``tests/test_exact_batch.py``.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tests.difftest import run_all_backends
-from repro.engine import kernels, simulate
-from repro.engine.active import ActiveSet
-from repro.engine.maxmin import allocate
-from repro.errors import SimulationError
+from repro.engine import simulate
 from repro.workloads import build as build_workload
-
-pytestmark = pytest.mark.kernel_diff
+from tests.oracle import assert_results_identical, simulate_rebuild
 
 _FAMILIES = ("small_torus", "small_fattree", "small_ghc", "small_nesttree",
              "small_nestghc")
 
-#: Hypothesis cannot draw pytest fixtures, so the property test builds the
-#: same five families itself, once per session.
-_topo_cache: dict[str, object] = {}
 
-
-def _family_topo(family: str):
-    topo = _topo_cache.get(family)
-    if topo is None:
-        from repro.topology import (FatTreeTopology, GHCTopology, NestGHC,
-                                    NestTree, TorusTopology)
-        topo = {
-            "small_torus": lambda: TorusTopology((4, 4, 2)),
-            "small_fattree": lambda: FatTreeTopology((4, 4, 2)),
-            "small_ghc": lambda: GHCTopology((4, 4), ports_per_switch=4),
-            "small_nesttree": lambda: NestTree(64, 2, 2),
-            "small_nestghc": lambda: NestGHC(64, 2, 4, ports_per_switch=4,
-                                             ghc_dims=2),
-        }[family]()
-        _topo_cache[family] = topo
-    return topo
-
-
-def _reference_rates(active: ActiveSet, capacities, weighted):
-    entries, ptr = active.gather_csr()
-    return allocate(entries, ptr, capacities,
-                    active.weights.copy() if weighted else None)
+def _against_oracle(topology, flows, **kwargs) -> None:
+    assert_results_identical(simulate(topology, flows, **kwargs),
+                             simulate_rebuild(topology, flows, **kwargs),
+                             "engine", "oracle")
 
 
 class TestSimulationDiff:
-    """End-to-end: same SimulationResult under every backend."""
-
     @pytest.mark.parametrize("family", _FAMILIES)
     @pytest.mark.parametrize("fidelity", ("exact", "approx"))
     def test_allreduce_all_families(self, request, family, fidelity):
         topo = request.getfixturevalue(family)
         flows = build_workload("allreduce", topo.num_endpoints,
                                seed=0).build()
-        run_all_backends(lambda: simulate(topo, flows, fidelity=fidelity))
+        _against_oracle(topo, flows, fidelity=fidelity)
 
     @pytest.mark.parametrize("routing",
                              ("deterministic", "ecmp", "adaptive"))
     def test_unstructured_all_policies(self, small_nesttree, routing):
         flows = build_workload("unstructuredhr",
                                small_nesttree.num_endpoints, seed=1).build()
-        run_all_backends(lambda: simulate(small_nesttree, flows,
-                                          fidelity="approx",
-                                          routing=routing))
+        _against_oracle(small_nesttree, flows, fidelity="approx",
+                        routing=routing)
 
     def test_weighted_flows(self, small_fattree):
-        builder = build_workload("mapreduce", small_fattree.num_endpoints,
-                                 seed=2)
-        flows = builder.build()
-        run_all_backends(lambda: simulate(small_fattree, flows))
-
-    def test_transient_timeline(self, small_nesttree):
-        from repro.topology import FaultTimeline
-        flows = build_workload("allreduce", small_nesttree.num_endpoints,
-                               seed=0).build()
-        base = simulate(small_nesttree, flows)
-        tl = FaultTimeline.sample(small_nesttree, cables=4, seed=3,
-                                  horizon=base.makespan * 0.8,
-                                  mttr=base.makespan * 0.25)
-        result, _ = run_all_backends(
-            lambda: simulate(small_nesttree, flows, fidelity="approx",
-                             fault_timeline=tl))
-        assert result.transient["fault_events"] > 0
-
-
-class TestChurnProperty:
-    """Hypothesis: random churn keeps every backend bitwise on-reference."""
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1),
-           steps=st.integers(20, 120),
-           family=st.sampled_from(_FAMILIES),
-           weighted=st.booleans())
-    def test_random_churn_bitwise(self, seed, steps, family, weighted):
-        topo = _family_topo(family)
-        caps = topo.links.capacities
-        rng = np.random.default_rng(seed)
-        n = topo.num_endpoints
-
-        # one churn script, replayed identically under every backend
-        script: list[tuple] = []
-        alive: list[int] = []
-        next_fid = 0
-        for _ in range(steps):
-            if alive and rng.random() < 0.45:
-                idx = int(rng.integers(len(alive)))
-                script.append(("remove", alive.pop(idx)))
-            else:
-                s = int(rng.integers(n))
-                d = int(rng.integers(n))
-                while d == s:
-                    d = int(rng.integers(n))
-                w = float(rng.uniform(0.5, 4.0)) if weighted else 1.0
-                script.append(("add", next_fid, s, d, w))
-                alive.append(next_fid)
-                next_fid += 1
-
-        route_cache: dict = {}
-        rates_by_backend: dict[str, list] = {}
-        for backend in kernels.available():
-            rates_log: list[np.ndarray] = []
-            with kernels.use(backend):
-                active = ActiveSet(caps, weighted=weighted)
-                for i, op in enumerate(script):
-                    if op[0] == "remove":
-                        active.remove(op[1])
-                    else:
-                        _, fid, s, d, w = op
-                        key = (s, d)
-                        route = route_cache.get(key)
-                        if route is None:
-                            route = np.asarray(topo.route(s, d),
-                                               dtype=np.int64)
-                            route_cache[key] = route
-                        active.add(fid, route, weight=w)
-                    if active.size and i % 3 == 0:
-                        got = active.allocate().copy()
-                        want = _reference_rates(active, caps, weighted)
-                        if backend == "numpy":
-                            # warm fills may diverge from a cold reference
-                            # allocation only within float tolerance
-                            np.testing.assert_allclose(
-                                got, want,
-                                rtol=1e-12 if not weighted else 1e-9)
-                        rates_log.append(got)
-            rates_by_backend[backend] = rates_log
-        base = rates_by_backend["numpy"]
-        for backend, log in rates_by_backend.items():
-            assert len(log) == len(base)
-            for i, (a, b) in enumerate(zip(base, log)):
-                np.testing.assert_array_equal(
-                    a, b,
-                    err_msg=f"rates diverge at allocation {i} "
-                            f"(numpy vs {backend})")
-
-
-class TestRelevelProperty:
-    """Hypothesis: near-identical churn — the suffix-resume relevel's
-    territory — stays bitwise on the full pass under every backend.
-
-    Each script batch-adds flows from an interned route pool, then runs
-    rounds of removal bursts with optional *matched* re-adds (the same
-    route array object, so the multiset of route keys never gains a
-    member).  That is exactly the state PR 10's relevel path claims to
-    resume bitwise; a twin ActiveSet with the path disabled provides the
-    full-pass oracle at every allocation.
-    """
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1),
-           n_flows=st.integers(12, 48),
-           rounds=st.integers(3, 10),
-           family=st.sampled_from(_FAMILIES))
-    def test_near_identical_churn_bitwise(self, seed, n_flows, rounds,
-                                          family):
-        topo = _family_topo(family)
-        caps = topo.links.capacities
-        rng = np.random.default_rng(seed)
-        n = topo.num_endpoints
-
-        route_pool: dict = {}
-
-        def draw_route():
-            s = int(rng.integers(n))
-            d = int(rng.integers(n))
-            while d == s:
-                d = int(rng.integers(n))
-            route = route_pool.get((s, d))
-            if route is None:
-                route = np.asarray(topo.route(s, d), dtype=np.int64)
-                route_pool[(s, d)] = route
-            return route
-
-        # one churn script: seed adds, then removal bursts with matched
-        # re-adds (never more re-adds than removals of that same route)
-        script: list[tuple] = [("add", fid, draw_route())
-                               for fid in range(n_flows)]
-        alive = {fid: route for _, fid, route in script}
-        next_fid = n_flows
-        script.append(("allocate",))
-        for _ in range(rounds):
-            burst = min(len(alive) - 1, int(rng.integers(1, 5)))
-            if burst <= 0:
-                break
-            removed: list = []
-            for fid in rng.choice(sorted(alive), size=burst,
-                                  replace=False).tolist():
-                script.append(("remove", int(fid)))
-                removed.append(alive.pop(int(fid)))
-            for route in removed:
-                if rng.random() < 0.4:   # matched re-admission
-                    script.append(("add", next_fid, route))
-                    alive[next_fid] = route
-                    next_fid += 1
-            script.append(("allocate",))
-
-        def replay(enabled: bool) -> list[np.ndarray]:
-            active = ActiveSet(caps)
-            active._relevel_enabled = enabled
-            log: list[np.ndarray] = []
-            for op in script:
-                if op[0] == "add":
-                    active.add(op[1], op[2])
-                elif op[0] == "remove":
-                    active.remove(op[1])
-                elif active.size:
-                    rates = active.allocate()
-                    # slot order depends only on the script, so rates
-                    # line up positionally between the twin replays
-                    log.append(np.column_stack(
-                        (active.flow_ids, rates)).copy())
-            if enabled:
-                log.append(np.array([[active.relevel_fills, 0.0]]))
-            return log
-
-        per_backend: dict[str, list] = {}
-        for backend in kernels.available():
-            with kernels.use(backend):
-                fast = replay(True)
-                slow = replay(False)
-            per_backend[backend] = fast
-            for i, (a, b) in enumerate(zip(fast[:-1], slow)):
-                np.testing.assert_array_equal(
-                    a, b, err_msg=f"[{backend}] relevel diverges from "
-                                  f"full pass at allocation {i}")
-        base = per_backend["numpy"]
-        for backend, log in per_backend.items():
-            for i, (a, b) in enumerate(zip(base, log)):
-                np.testing.assert_array_equal(
-                    a, b, err_msg=f"rates diverge at allocation {i} "
-                                  f"(numpy vs {backend})")
-
-    def test_property_exercises_relevel(self, small_nesttree):
-        """Meta-check: the property's churn shape actually takes the
-        suffix-resume path (guards against a vacuous suite)."""
-        flows = build_workload("unstructuredhr",
-                               small_nesttree.num_endpoints, seed=1).build()
-        result, _ = run_all_backends(
-            lambda: simulate(small_nesttree, flows, fidelity="exact"))
-        assert result.allocator_stats["relevel_fills"] > 0
-
-
-class TestDispatcher:
-    def test_numpy_always_available(self):
-        assert "numpy" in kernels.available()
-        assert kernels.get("numpy").NAME == "numpy"
-
-    def test_default_honors_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        assert kernels.default_name() == "numpy"
-        monkeypatch.setenv("REPRO_KERNELS", "bogus")
-        with pytest.raises(SimulationError, match="REPRO_KERNELS"):
-            kernels.default_name()
-
-    def test_use_pins_and_restores(self):
-        before = kernels.default_name()
-        with kernels.use("numpy"):
-            assert kernels.default_name() == "numpy"
-            assert ActiveSet(np.ones(2)).kernels.NAME == "numpy"
-        assert kernels.default_name() == before
-
-    def test_explicit_missing_backend_raises(self):
-        if "numba" in kernels.available():
-            pytest.skip("[fast] extra installed; nothing is missing")
-        with pytest.raises(SimulationError, match="repro\\[fast\\]"):
-            kernels.get("numba")
-
-    def test_auto_never_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "auto")
-        assert kernels.default_name() in ("numpy", "numba")
-
-    def test_activeset_accepts_backend_name(self):
-        a = ActiveSet(np.ones(4), kernels="numpy")
-        assert a.kernels.NAME == "numpy"
-        with pytest.raises(SimulationError, match="unknown kernel backend"):
-            ActiveSet(np.ones(4), kernels="fortran")
+        flows = build_workload("mapreduce", small_fattree.num_endpoints,
+                               seed=2).build()
+        _against_oracle(small_fattree, flows)

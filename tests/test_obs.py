@@ -303,16 +303,16 @@ class TestSweepMetrics:
 class TestZeroRateGuard:
     def test_frozen_zero_rate_raises_typed_error(self, small_torus,
                                                  monkeypatch):
-        import repro.engine.simulator as sim_mod
+        from tests import oracle
 
         def zero_allocate(entries, ptr, capacities, weights, **kwargs):
             return np.zeros(ptr.shape[0] - 1, dtype=np.float64)
 
-        monkeypatch.setattr(sim_mod, "allocate", zero_allocate)
+        monkeypatch.setattr(oracle, "allocate", zero_allocate)
         flows = FlowBuilder(small_torus.num_endpoints)
         flows.add_flow(0, 1, CAP * 0.1)
         with pytest.raises(SimulationError, match=r"flow\(s\) \[0\]"):
-            simulate(small_torus, flows.build(), allocator="rebuild")
+            oracle.simulate_rebuild(small_torus, flows.build())
 
     def test_frozen_zero_rate_raises_typed_error_incremental(
             self, small_torus, monkeypatch):
@@ -332,17 +332,17 @@ class TestZeroRateGuard:
             simulate(small_torus, flows.build())
 
     def test_error_names_fidelity(self, small_torus, monkeypatch):
-        import repro.engine.simulator as sim_mod
+        from tests import oracle
 
         monkeypatch.setattr(
-            sim_mod, "allocate",
+            oracle, "allocate",
             lambda entries, ptr, capacities, weights, **kw:
                 np.zeros(ptr.shape[0] - 1))
         flows = FlowBuilder(small_torus.num_endpoints)
         flows.add_flow(2, 3, CAP * 0.1)
         with pytest.raises(SimulationError, match="fidelity='approx'"):
-            simulate(small_torus, flows.build(), fidelity="approx",
-                     allocator="rebuild")
+            oracle.simulate_rebuild(small_torus, flows.build(),
+                                    fidelity="approx")
 
 
 class TestZeroByteTieWindow:

@@ -13,6 +13,7 @@ from repro.routing.policy import adaptive_index, ecmp_index
 from repro.topology import FaultSet, DegradedTopology, TorusTopology, build
 from repro.units import DEFAULT_LINK_CAPACITY as CAP
 from repro.workloads import build as build_workload
+from tests.oracle import simulate_rebuild
 
 FAMILY_SIZES = {"torus": 64, "fattree": 64, "thintree": 64, "ghc": 64,
                 "nesttree": 64, "nestghc": 64, "dragonfly": 72,
@@ -235,26 +236,24 @@ class TestSharedCacheIsolation:
 
 class TestPolicyReproducibility:
     @pytest.mark.parametrize("routing", ROUTING_POLICIES)
-    @pytest.mark.parametrize("allocator", ("incremental", "rebuild"))
-    def test_repeat_runs_are_identical(self, routing, allocator):
+    @pytest.mark.parametrize("run", (simulate, simulate_rebuild),
+                             ids=("incremental", "rebuild"))
+    def test_repeat_runs_are_identical(self, routing, run):
         topo = build("nesttree", 64, t=2, u=4)
         flows = build_workload("unstructuredhr", 64, seed=0).build()
-        a = simulate(topo, flows, fidelity="approx", routing=routing,
-                     allocator=allocator)
-        b = simulate(topo, flows, fidelity="approx", routing=routing,
-                     allocator=allocator)
+        a = run(topo, flows, fidelity="approx", routing=routing)
+        b = run(topo, flows, fidelity="approx", routing=routing)
         assert a.makespan == b.makespan
         assert a.events == b.events
 
     def test_ecmp_agrees_across_allocators(self):
-        # ecmp selection is oblivious, so both allocators route identically
-        # (adaptive is allocator-dependent by design: admission order
-        # differs, see docs/routing.md)
+        # ecmp selection is oblivious, so the engine and the loop oracle
+        # route identically
         topo = build("nesttree", 64, t=2, u=4)
         flows = build_workload("unstructuredhr", 64, seed=0).build()
         inc = simulate(topo, flows, fidelity="approx", routing="ecmp")
-        reb = simulate(topo, flows, fidelity="approx", routing="ecmp",
-                       allocator="rebuild")
+        reb = simulate_rebuild(topo, flows, fidelity="approx",
+                               routing="ecmp")
         assert inc.makespan == pytest.approx(reb.makespan, rel=1e-9)
 
 

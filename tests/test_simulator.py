@@ -302,3 +302,31 @@ class TestPlacementEdgeCases:
                     simulate(line, flows)
         finally:
             ActiveSet.allocate = orig
+
+
+class TestNoHiddenSwitches:
+    """One event loop, one fill backend, explicit parameters: behaviour
+    is chosen by arguments, never by the process environment."""
+
+    def test_engine_reads_no_environment(self):
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro.engine
+
+        names = [repro.engine.__name__] + [
+            info.name for info in pkgutil.walk_packages(
+                repro.engine.__path__, prefix="repro.engine.")]
+        assert "repro.engine.simulator" in names
+        for name in names:
+            source = inspect.getsource(importlib.import_module(name))
+            for needle in ("environ", "getenv", "REPRO_"):
+                assert needle not in source, f"{name} mentions {needle!r}"
+
+    def test_simulate_has_no_allocator_switch(self):
+        import inspect
+
+        params = inspect.signature(simulate).parameters
+        assert "allocator" not in params
+        assert list(params)[:2] == ["topology", "flows"]

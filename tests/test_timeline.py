@@ -1,9 +1,9 @@
-"""Tests for transient fault timelines and the transient engine.
+"""Tests for transient fault timelines and the engine's fault epochs.
 
-The acceptance matrix of the transient-fault PR:
+The acceptance matrix of transient faults:
 
 * an empty ``FaultTimeline`` leaves ``simulate()`` bitwise-identical to a
-  call without one, for all routing policies and both allocators;
+  call without one and to the loop oracle, for all routing policies;
 * a timeline whose events all precede t=0 and never repair matches the
   equivalent static ``DegradedTopology`` run exactly;
 * mid-run faults recover in-flight flows (remaining bytes preserved),
@@ -24,6 +24,7 @@ from repro.obs.metrics import validate_snapshot
 from repro.topology import (DegradedTopology, FaultEvent, FaultSet,
                             FaultTimeline, TimelineSpec, build)
 from repro.workloads import build as build_workload
+from tests.oracle import simulate_rebuild
 
 ENDPOINTS = 64
 
@@ -148,13 +149,13 @@ class TestEmptyTimelineIdentity:
 
     @pytest.mark.parametrize("routing",
                              ("deterministic", "ecmp", "adaptive"))
-    @pytest.mark.parametrize("allocator", ("incremental", "rebuild"))
-    def test_bitwise_identical(self, routing, allocator):
-        base = simulate(topo(), flows(), fidelity="approx",
-                        routing=routing, allocator=allocator)
+    @pytest.mark.parametrize("reference", (simulate, simulate_rebuild),
+                             ids=("incremental", "rebuild"))
+    def test_bitwise_identical(self, routing, reference):
+        base = reference(topo(), flows(), fidelity="approx",
+                         routing=routing)
         timed = simulate(topo(), flows(), fidelity="approx",
-                         routing=routing, allocator=allocator,
-                         fault_timeline=FaultTimeline())
+                         routing=routing, fault_timeline=FaultTimeline())
         assert timed.makespan == base.makespan
         assert np.array_equal(timed.completion_times, base.completion_times)
         assert np.array_equal(timed.start_times, base.start_times)
@@ -163,8 +164,8 @@ class TestEmptyTimelineIdentity:
         assert timed.transient is None
 
     def test_never_firing_timeline_is_bitwise_identical(self):
-        # events exist but all land beyond the job's end: the transient
-        # engine runs, yet no epoch boundary ever fires
+        # events exist but all land beyond the job's end: the fault
+        # event source is armed, yet no epoch boundary ever fires
         base = simulate(topo(), flows(), fidelity="approx")
         tl = FaultTimeline.sample(topo(), cables=4, seed=2,
                                   horizon=base.makespan * 1e6)
@@ -295,12 +296,6 @@ class TestTransientRecovery:
         tl = FaultTimeline.sample(topo(), cables=1, seed=0, horizon=1.0)
         with pytest.raises(SimulationError, match="timeline events"):
             simulate(deg, flows(), fault_timeline=tl)
-
-    def test_timeline_requires_incremental_allocator(self):
-        tl = FaultTimeline.sample(topo(), cables=1, seed=0, horizon=1.0)
-        with pytest.raises(SimulationError, match="incremental"):
-            simulate(topo(), flows(), allocator="rebuild",
-                     fault_timeline=tl)
 
     def test_timeline_validated_against_topology(self):
         other = build("torus", 512)
