@@ -1,9 +1,10 @@
 """Fill kernels of the incremental allocator.
 
-The progressive-filling water-level loop, the warm-fill replay and the
-suffix-resumed relevel are :class:`~repro.engine.active.ActiveSet`'s
-allocation hot spots.  They live in :mod:`repro.engine.kernels.numpy_fill`
-behind a narrow array contract (see that module), pure NumPy.
+The progressive-filling water-level loop (shared by full passes and
+suffix-resumed relevels), the residual replay and the warm fill are
+:class:`~repro.engine.active.ActiveSet`'s allocation hot spots.  They
+live in :mod:`repro.engine.kernels.numpy_fill` behind a narrow array
+contract (see that module), pure NumPy.
 """
 
 from __future__ import annotations

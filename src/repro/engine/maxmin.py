@@ -16,6 +16,15 @@ written for numpy throughput):
   gathered exactly once over the whole run (O(nnz) total, not per
   iteration);
 * per-iteration work is just a masked minimum over the active links.
+
+This is the reference: :class:`~repro.engine.active.ActiveSet`'s fill
+kernel (:mod:`repro.engine.kernels.numpy_fill`) performs these same
+float operations on the same values — residual ``cap - delta * count``
+per iteration, the ``_SAT_TOL`` capacity floor as the saturation test —
+but defers them on the links that cannot saturate soon, so its rates
+and iteration counts equal this routine's bit for bit (for weighted
+flows, up to the order in which equal-level weights leave a link's
+count: ascending flow id there, batch order here).
 """
 
 from __future__ import annotations

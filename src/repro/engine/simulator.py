@@ -740,7 +740,8 @@ def simulate(topology: Topology, flows: FlowSet, *,
         allocator_stats={"allocator": "incremental",
                          "full_passes": active.full_passes,
                          "warm_fills": active.warm_fills,
-                         "relevel_fills": active.relevel_fills},
+                         "relevel_fills": active.relevel_fills,
+                         "fill_rounds": active.fill_rounds},
         transient=dict(counters) if epochs else None,
     )
 

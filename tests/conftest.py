@@ -1,11 +1,21 @@
-"""Shared fixtures: small topologies reused across the test suite."""
+"""Shared fixtures: small topologies reused across the test suite.
+
+Also registers the Hypothesis ``ci`` profile (``pytest
+--hypothesis-profile=ci``): derandomized, so a CI failure reproduces,
+and with more examples for the properties that leave their example
+count to the profile.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.topology import (FatTreeTopology, GHCTopology, NestGHC, NestTree,
                             TorusTopology)
+
+settings.register_profile("ci", derandomize=True, max_examples=300,
+                          deadline=None)
 
 
 @pytest.fixture(scope="session")

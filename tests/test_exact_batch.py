@@ -252,9 +252,10 @@ class TestRelevelUnit:
 
         White-box mirror of :meth:`ActiveSet._relevel_fill`'s gating: the
         flow's bottleneck must sit above the first recorded water level
-        (``k > 0``) and the suffix replay must be cheaper than a full
+        (``k > 0``) and the prefix replay must be cheaper than a full
         pass.  Suffix-resume is *worth* taking only for such flows, so
-        the unit tests target one directly.
+        the unit tests target one directly.  The harness is seeded, so
+        finding none is a failure, not a skip.
         """
         m = active._m
         seq = active._level_seq
@@ -271,7 +272,7 @@ class TestRelevelUnit:
             cost = int(active._csr_len[suffix].sum()) + k * suffix.shape[0]
             if cost <= active._live_nnz:
                 return int(active._flow_ids[slot])
-        pytest.skip("harness produced no relevel-eligible flow")
+        pytest.fail("harness produced no relevel-eligible flow")
 
     def test_net_removal_relevels_bitwise(self, small_nesttree):
         active = self._filled_set(small_nesttree)
