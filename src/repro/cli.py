@@ -4,8 +4,8 @@ Usage (installed as ``repro`` or via ``python -m repro``)::
 
     repro table1 --endpoints 131072        # paper-scale static analysis
     repro table2 --endpoints 131072
-    repro fig4 --endpoints 4096 --out fig4.csv --jobs 4 --checkpoint f4.jsonl
-    repro fig5 --endpoints 4096 --jobs 4 --checkpoint f5.jsonl --resume
+    repro fig4 --endpoints 4096 --out fig4.csv --jobs 4 --checkpoint store/
+    repro fig5 --endpoints 4096 --jobs 4 --checkpoint store/ --resume
     repro run --topology nesttree --t 2 --u 4 --workload allreduce
     repro profile allreduce nesttree --t 2 --u 4   # tier/timing tables
     repro resilience --endpoints 4096 --workload allreduce \
@@ -36,6 +36,7 @@ from repro.core import (DEFAULT_ENDPOINTS, DesignSpaceExplorer, claims_report,
                         figure, table1, table2)
 from repro.core.config import DEFAULT_QUADRATIC_TASKS
 from repro.core.paperdata import PAPER_ENDPOINTS
+from repro.errors import ConfigError
 from repro.routing import ROUTING_POLICIES
 
 
@@ -57,16 +58,18 @@ def _add_sweep(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="also write raw CSV here")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the sweep (default 1: serial)")
-    p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="append per-cell results to this JSONL file as the "
-                        "sweep runs")
+    p.add_argument("--checkpoint", default=None, metavar="DIR",
+                   help="store each cell's result in this result-store "
+                        "directory as the sweep runs (the store `repro "
+                        "serve --store` answers from)")
     p.add_argument("--resume", action="store_true",
                    help="skip cells already present in --checkpoint")
     p.add_argument("--quiet", action="store_true",
                    help="suppress progress logging")
     p.add_argument("--keep-going", action="store_true",
                    help="record per-cell failures as typed error entries in "
-                        "the checkpoint instead of aborting the sweep")
+                        "the checkpoint's failures/ sidecar instead of "
+                        "aborting the sweep")
     p.add_argument("--cell-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="wall-clock cap per sweep cell (parallel workers "
@@ -210,11 +213,11 @@ def main(argv: list[str] | None = None) -> int:
                          "(default 1000)")
     pc.add_argument("--jobs", type=int, default=1,
                     help="worker processes (default 1: serial)")
-    pc.add_argument("--checkpoint", default=None, metavar="PATH",
-                    help="base checkpoint path (PATH.healthy.jsonl / "
-                         "PATH.mc.jsonl)")
+    pc.add_argument("--checkpoint", default=None, metavar="DIR",
+                    help="result-store directory for the healthy and "
+                         "Monte-Carlo cells")
     pc.add_argument("--resume", action="store_true",
-                    help="skip cells already present in the checkpoints")
+                    help="skip cells already present in --checkpoint")
     pc.add_argument("--cell-timeout", type=float, default=None,
                     metavar="SECONDS",
                     help="wall-clock cap per simulation cell")
@@ -287,12 +290,12 @@ def main(argv: list[str] | None = None) -> int:
                          "default: deterministic only)")
     po.add_argument("--jobs", type=int, default=1,
                     help="worker processes for the simulation rungs")
-    po.add_argument("--checkpoint", default=None, metavar="PATH",
-                    help="base path for per-rank sweep checkpoints "
-                         "(PATH.rank1.jsonl / PATH.rank2.jsonl)")
+    po.add_argument("--checkpoint", default=None, metavar="DIR",
+                    help="result-store directory for the pilot and "
+                         "full-fidelity simulation cells")
     po.add_argument("--resume", action="store_true",
-                    help="skip simulation cells already present in the "
-                         "rank checkpoints")
+                    help="skip simulation cells already present in "
+                         "--checkpoint")
     po.add_argument("--cell-timeout", type=float, default=None,
                     metavar="SECONDS",
                     help="wall-clock cap per simulation cell")
@@ -313,7 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     pv.add_argument("--store", required=True, metavar="DIR",
                     help="content-addressed result store directory "
                          "(created if missing; shareable across service "
-                         "restarts and instances)")
+                         "restarts and instances, and with sweep "
+                         "--checkpoint directories)")
     pv.add_argument("--host", default="127.0.0.1",
                     help="bind address (default 127.0.0.1)")
     pv.add_argument("--port", type=int, default=0,
@@ -344,7 +348,8 @@ def main(argv: list[str] | None = None) -> int:
     pv.add_argument("--route-cache", choices=("auto", "dict", "sharded"),
                     default=None,
                     help="route-cache mode for the simulation workers "
-                         "(default: the REPRO_ROUTE_CACHE environment)")
+                         "(default auto: sharded at 65,536 endpoints and "
+                         "above)")
     pv.add_argument("--route-cache-resident", type=int, default=None,
                     metavar="N",
                     help="pool-wide resident route-cache shard budget, "
@@ -386,29 +391,35 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     _validate(parser, args)
-    if args.command == "table1":
-        print(table1(args.endpoints, max_pairs=args.max_pairs, seed=args.seed))
-    elif args.command == "table2":
-        print(table2(args.endpoints, model=_cost_model(args)))
-    elif args.command in ("fig4", "fig5"):
-        _run_figure(args, heavy=args.command == "fig4")
-    elif args.command == "resilience":
-        _run_resilience(args)
-    elif args.command == "campaign":
-        _run_campaign(args)
-    elif args.command == "optimize":
-        _run_optimize(args)
-    elif args.command == "run":
-        _run_single(args)
-    elif args.command == "profile":
-        _run_profile(args)
-    elif args.command == "serve":
-        _run_serve(args)
-    elif args.command == "submit":
-        return _run_submit(args)
-    elif args.command == "info":
-        _info()
-    return 0
+    try:
+        if args.command == "table1":
+            print(table1(args.endpoints, max_pairs=args.max_pairs,
+                         seed=args.seed))
+        elif args.command == "table2":
+            print(table2(args.endpoints, model=_cost_model(args)))
+        elif args.command in ("fig4", "fig5"):
+            _run_figure(args, heavy=args.command == "fig4")
+        elif args.command == "resilience":
+            _run_resilience(args)
+        elif args.command == "campaign":
+            _run_campaign(args)
+        elif args.command == "optimize":
+            _run_optimize(args)
+        elif args.command == "run":
+            _run_single(args)
+        elif args.command == "profile":
+            _run_profile(args)
+        elif args.command == "serve":
+            _run_serve(args)
+        elif args.command == "submit":
+            return _run_submit(args)
+        elif args.command == "info":
+            _info()
+        return 0
+    except ConfigError as exc:
+        # bad input only found at run time (e.g. a --checkpoint or
+        # --store path that is a file): exit 2 like _validate
+        parser.error(str(exc))
 
 
 def _validate(parser: argparse.ArgumentParser,
@@ -431,7 +442,7 @@ def _validate(parser: argparse.ArgumentParser,
         if args.jobs < 1:
             parser.error(f"--jobs must be >= 1, got {args.jobs}")
         if args.resume and not args.checkpoint:
-            parser.error("--resume requires --checkpoint PATH")
+            parser.error("--resume requires --checkpoint DIR")
         for name in getattr(args, "workloads", None) or ():
             if name not in available():
                 parser.error(f"unknown workload {name!r}; "
@@ -487,7 +498,6 @@ def _validate_hybrid(parser: argparse.ArgumentParser,
     parameter ranges instead.
     """
     from repro.core.config import HYBRID_FAMILIES, validate_hybrid_params
-    from repro.errors import ConfigError
 
     if args.topology not in HYBRID_FAMILIES:
         return
@@ -529,7 +539,7 @@ def _validate_optimize(parser: argparse.ArgumentParser,
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.resume and not args.checkpoint:
-        parser.error("--resume requires --checkpoint PATH")
+        parser.error("--resume requires --checkpoint DIR")
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         parser.error(f"--cell-timeout must be a positive number of "
                      f"seconds, got {args.cell_timeout}")
@@ -632,7 +642,6 @@ def _submit_cells(parser: argparse.ArgumentParser,
 def _parse_seeds_arg(parser: argparse.ArgumentParser,
                      spec: str | None) -> list[int] | None:
     """Expand an ``A:B`` seed-range flag, exiting 2 on a malformed one."""
-    from repro.errors import ConfigError
     from repro.sweep import parse_seed_range
 
     if spec is None:
@@ -674,7 +683,7 @@ def _validate_campaign(parser: argparse.ArgumentParser,
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.resume and not args.checkpoint:
-        parser.error("--resume requires --checkpoint PATH")
+        parser.error("--resume requires --checkpoint DIR")
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         parser.error(f"--cell-timeout must be a positive number of "
                      f"seconds, got {args.cell_timeout}")
@@ -827,7 +836,6 @@ def _run_campaign(args: argparse.Namespace) -> None:
     byte-identical across runs, so it can be committed as an artifact.
     """
     from repro.core.explorer import PLACEMENT_POLICY
-    from repro.errors import ConfigError
     from repro.sweep import (campaign_table, parse_seed_range, run_campaign,
                              write_campaign_report)
     from repro.sweep.campaign import _select_topologies
@@ -869,7 +877,6 @@ def _run_optimize(args: argparse.Namespace) -> None:
     so identical invocations print — and with ``--report`` write —
     byte-identical results.
     """
-    from repro.errors import ConfigError
     from repro.search import (DesignSpace, FidelityLadder, LadderEvaluator,
                               make_strategy, run_search, write_report)
     from repro.search.fidelity import DEFAULT_WORKLOADS
@@ -986,7 +993,7 @@ def _run_serve(args: argparse.Namespace) -> None:
     """
     import asyncio
 
-    from repro.routing.cache import RouteCacheConfig
+    from repro.routing.cache import DEFAULT_RESIDENT, RouteCacheConfig
     from repro.service import Broker, ResultStore, ServiceServer
 
     cache_config = None
@@ -994,7 +1001,8 @@ def _run_serve(args: argparse.Namespace) -> None:
             or args.route_cache_dir is not None:
         cache_config = RouteCacheConfig(
             mode=args.route_cache or "auto",
-            resident=args.route_cache_resident,
+            resident=DEFAULT_RESIDENT if args.route_cache_resident is None
+            else args.route_cache_resident,
             spill_dir=args.route_cache_dir)
     weights = {}
     for spec in args.weight:

@@ -232,15 +232,16 @@ class DesignSpaceExplorer:
         """Simulate every workload on every topology of the design space.
 
         ``jobs`` > 1 fans the sweep out over a process pool (one topology
-        group per worker at a time); ``checkpoint`` names a JSONL file that
-        receives each cell as it completes, and ``resume=True`` skips the
-        cells already recorded there.  Serial and parallel runs return
-        identical tables (wall-clock fields aside).  The ``fail_*`` knobs
-        run the whole sweep on a degraded network (see :meth:`plan`);
-        ``keep_going`` and ``cell_timeout`` harden long sweeps (see
-        :func:`repro.sweep.run_sweep`).  ``metrics`` names a JSONL file
-        that receives one schema-versioned observability record per cell
-        (instrumented engine runs; see ``docs/observability.md``).
+        group per worker at a time); ``checkpoint`` names a result-store
+        directory that receives each cell as it completes, and
+        ``resume=True`` skips the cells already stored there.  Serial and
+        parallel runs return identical tables (wall-clock fields aside).
+        The ``fail_*`` knobs run the whole sweep on a degraded network
+        (see :meth:`plan`); ``keep_going`` and ``cell_timeout`` harden
+        long sweeps (see :func:`repro.sweep.run_sweep`).  ``metrics``
+        names a JSONL file that receives one schema-versioned
+        observability record per cell (instrumented engine runs; see
+        ``docs/observability.md``).
         """
         from repro.sweep import run_sweep
 

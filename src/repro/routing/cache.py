@@ -24,9 +24,10 @@ every dirty resident shard, and a fresh :class:`ShardedRouteCache`
 pointed at the same directory serves the same entries byte-for-byte.
 
 :func:`make_route_cache` is the factory the sweep runner calls: a plain
-dict by default (exact historical behaviour), the sharded cache when
-``REPRO_ROUTE_CACHE=sharded`` or when ``auto`` (the default) sees a
-design point at or above ``REPRO_ROUTE_CACHE_AUTO`` endpoints.
+dict by default (exact historical behaviour), the sharded cache when a
+:class:`RouteCacheConfig` asks for ``mode="sharded"`` or when ``auto``
+(the default) sees a design point at or above
+:data:`DEFAULT_AUTO_ENDPOINTS` endpoints.
 """
 
 from __future__ import annotations
@@ -250,13 +251,12 @@ class ShardedRouteCache(MutableMapping):
 class RouteCacheConfig:
     """Explicit route-cache policy, picklable across worker processes.
 
-    The programmatic twin of the ``REPRO_ROUTE_CACHE*`` environment knobs:
-    the sweep runner and the service broker pass one of these down to each
-    worker so a *total* resident-set budget can be split across a pool
-    (the env knobs, read independently by every worker, would multiply the
-    budget by the worker count instead).  ``None`` fields defer to the
-    environment, then to the library defaults, so a partially specified
-    config composes with deployment-level tuning.
+    The single source of the route-cache policy: the sweep runner and
+    the service broker pass one of these down to each worker so a
+    *total* resident-set budget can be split across a pool.  The
+    defaults are ``auto`` mode (sharded at :data:`DEFAULT_AUTO_ENDPOINTS`
+    endpoints and above), :data:`DEFAULT_SHARDS` shards and
+    :data:`DEFAULT_RESIDENT` resident shards.
 
     ``resident`` is the resident-shard budget (``0`` = unbounded, never
     spill) — for a parallel sweep it is the budget of the *whole pool*;
@@ -264,8 +264,8 @@ class RouteCacheConfig:
     """
 
     mode: str = "auto"              # auto | dict | sharded
-    shards: int | None = None
-    resident: int | None = None     # total resident budget; 0 = unbounded
+    shards: int = DEFAULT_SHARDS
+    resident: int = DEFAULT_RESIDENT  # total resident budget; 0 = unbounded
     spill_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -273,25 +273,12 @@ class RouteCacheConfig:
             raise ConfigError(
                 f"route-cache mode must be 'auto', 'dict' or 'sharded', "
                 f"got {self.mode!r}")
-        if self.shards is not None and self.shards < 1:
+        if self.shards < 1:
             raise ConfigError(f"shards must be >= 1, got {self.shards}")
-        if self.resident is not None and self.resident < 0:
+        if self.resident < 0:
             raise ConfigError(
                 f"resident must be >= 0 (0 = unbounded), "
                 f"got {self.resident}")
-
-    @classmethod
-    def from_env(cls) -> RouteCacheConfig:
-        """The config the ``REPRO_ROUTE_CACHE`` environment variable asks
-        for; shard/resident/dir fields stay ``None`` (resolved lazily by
-        :func:`make_route_cache` so explicit configs override them)."""
-        mode = os.environ.get("REPRO_ROUTE_CACHE", "auto").strip().lower() \
-            or "auto"
-        if mode not in ("auto", "dict", "sharded"):
-            raise ConfigError(
-                f"REPRO_ROUTE_CACHE must be 'auto', 'dict' or 'sharded', "
-                f"got {mode!r}")
-        return cls(mode=mode)
 
     def for_worker(self, worker_id: int, jobs: int) -> RouteCacheConfig:
         """One pool worker's slice of this (pool-wide) budget.
@@ -307,19 +294,12 @@ class RouteCacheConfig:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         resident = self.resident
-        if jobs > 1 and resident not in (None, 0):
+        if jobs > 1 and resident != 0:
             resident = max(1, resident // jobs)
         spill = self.spill_dir
         if spill is not None:
             spill = os.path.join(spill, f"worker{worker_id}")
         return replace(self, resident=resident, spill_dir=spill)
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, str(default)))
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be an integer: {exc}") from exc
 
 
 def _namespace_slug(namespace: str) -> str:
@@ -337,23 +317,18 @@ def _namespace_slug(namespace: str) -> str:
 def make_route_cache(endpoints: int | None = None,
                      config: RouteCacheConfig | None = None,
                      namespace: str | None = None) -> MutableMapping:
-    """Build the route cache the config — or the environment — asks for.
-
-    With ``config=None`` the ``REPRO_ROUTE_CACHE`` env knobs decide, as
-    always; an explicit :class:`RouteCacheConfig` takes precedence field
-    by field (its ``None`` fields still fall back to the env knobs, then
-    the library defaults).
+    """Build the route cache ``config`` (default
+    :class:`RouteCacheConfig()`) asks for.
 
     * ``dict`` — a plain dict (the historical cache; everything
       resident);
     * ``sharded`` — :class:`ShardedRouteCache` for every design point;
-    * ``auto`` (default, also "") — plain dict below
-      ``REPRO_ROUTE_CACHE_AUTO`` endpoints (default 65536), sharded at or
-      above it; with ``endpoints`` unknown, plain dict.
+    * ``auto`` (default) — plain dict below :data:`DEFAULT_AUTO_ENDPOINTS`
+      endpoints, sharded at or above it; with ``endpoints`` unknown,
+      plain dict.
 
-    ``REPRO_ROUTE_CACHE_SHARDS``, ``REPRO_ROUTE_CACHE_RESIDENT`` and
-    ``REPRO_ROUTE_CACHE_DIR`` tune the sharded flavour (resident ``0``
-    means unbounded — never spill).
+    ``shards``, ``resident`` (``0`` means unbounded — never spill) and
+    ``spill_dir`` tune the sharded flavour.
 
     ``namespace`` partitions the resolved spill directory: callers that
     build *several* caches over one directory (the sweep runner keeps one
@@ -364,24 +339,17 @@ def make_route_cache(endpoints: int | None = None,
     spilled routes — silently wrong paths, not an error.
     """
     if config is None:
-        config = RouteCacheConfig.from_env()
+        config = RouteCacheConfig()
     mode = config.mode
     if mode == "auto":
-        threshold = _env_int("REPRO_ROUTE_CACHE_AUTO",
-                             DEFAULT_AUTO_ENDPOINTS)
-        mode = "sharded" if endpoints is not None and endpoints >= threshold \
-            else "dict"
+        mode = "sharded" if endpoints is not None \
+            and endpoints >= DEFAULT_AUTO_ENDPOINTS else "dict"
     if mode == "dict":
         return {}
-    shards = config.shards if config.shards is not None \
-        else _env_int("REPRO_ROUTE_CACHE_SHARDS", DEFAULT_SHARDS)
-    resident = config.resident if config.resident is not None \
-        else _env_int("REPRO_ROUTE_CACHE_RESIDENT", DEFAULT_RESIDENT)
-    spill_dir = config.spill_dir \
-        or os.environ.get("REPRO_ROUTE_CACHE_DIR") or None
+    spill_dir = config.spill_dir or None
     if spill_dir is not None and namespace is not None:
         spill_dir = os.path.join(spill_dir, _namespace_slug(namespace))
     return ShardedRouteCache(
-        shards=shards,
-        max_resident=None if resident == 0 else resident,
+        shards=config.shards,
+        max_resident=None if config.resident == 0 else config.resident,
         spill_dir=spill_dir)

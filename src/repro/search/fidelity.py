@@ -13,11 +13,11 @@ Three rungs, each two-plus orders of magnitude cheaper than the next:
 
 Ranks 1 and 2 are executed as ordinary :class:`~repro.sweep.plan.SweepPlan`
 runs through :func:`repro.sweep.runner.run_sweep`, so ``--jobs``
-parallelism, JSONL checkpointing/resume, per-cell timeouts and fault
-injection all come for free; each rank checkpoints to its own file
-(``<base>.rank<N>.jsonl``).  When the pilot scale equals the target scale
-the ladder *collapses*: rank 1 is skipped entirely rather than paying the
-identical simulation twice.
+parallelism, checkpointing/resume, per-cell timeouts and fault injection
+all come for free; both ranks checkpoint into one result-store directory
+(their scales differ, so their cells have distinct digests).  When the
+pilot scale equals the target scale the ladder *collapses*: rank 1 is
+skipped entirely rather than paying the identical simulation twice.
 
 The performance objective is always normalised against the fattree
 reference measured at the same rung, so numbers are comparable across
@@ -273,7 +273,7 @@ class LadderEvaluator:
                          seed=self.ladder.seed, cells=tuple(cells))
         failures: dict[str, dict] = {}
         records = run_sweep(
-            plan, jobs=self.jobs, checkpoint=self._rank_checkpoint(rank),
+            plan, jobs=self.jobs, checkpoint=self.checkpoint,
             resume=self.resume, log=self.log, keep_going=True,
             cell_timeout=self.cell_timeout, failures_out=failures,
             metrics_path=self._rank_metrics(rank))
@@ -321,11 +321,6 @@ class LadderEvaluator:
             targets.setdefault(
                 key, (cand.spec(), cand.fail_links, cand.routing))
         return list(targets.values())
-
-    def _rank_checkpoint(self, rank: int) -> str | None:
-        if self.checkpoint is None:
-            return None
-        return f"{os.fspath(self.checkpoint)}.rank{rank}.jsonl"
 
     def _rank_metrics(self, rank: int) -> str | None:
         if self.metrics is None:

@@ -226,8 +226,8 @@ class Broker:
     def _take_batch(self) -> list[tuple[str, str, SweepCell]]:
         """Drain up to ``batch_max`` fair-ordered cells with unique keys.
 
-        Two distinct fingerprints can share a checkpoint *key* (keys
-        omit the placement policy), and one ``run_sweep`` call indexes
+        Two distinct fingerprints can share a cell *key* (keys omit the
+        placement policy), and one ``run_sweep`` call indexes
         by key — so a key-colliding cell is pushed back for the next
         batch rather than silently aliasing.  The push-back happens
         synchronously (no await between drain and resubmit), so it can

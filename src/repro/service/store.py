@@ -1,13 +1,14 @@
-"""Content-addressed result store for the simulation service.
+"""Content-addressed result store for sweeps and the simulation service.
 
-Most cells users ask a long-lived service for are repeats: the same
-``(workload, topology, faults, routing, placement)`` cell at the same
-``(endpoints, fidelity, seed)`` globals simulates to the identical record
-every time, so the service persists each result once under its *content
+The same ``(workload, topology, faults, routing, placement)`` cell at the
+same ``(endpoints, fidelity, seed)`` globals simulates to the identical
+record every time, so each result is persisted once under its *content
 address* — the SHA-256 of the canonical cell fingerprint
 (:meth:`repro.sweep.plan.SweepCell.fingerprint`, which folds in the
-engine version) plus the plan globals — and answers repeats from disk
-without simulating.
+engine version) plus the plan globals — and repeats are answered from
+disk without simulating.  ``repro serve`` answers from it, and a sweep's
+``--checkpoint DIR`` is the same store: a ``fig4`` run warms the service
+and the service warms a resumed sweep.
 
 Durability mirrors :class:`~repro.routing.cache.ShardedRouteCache`:
 
@@ -21,7 +22,11 @@ Durability mirrors :class:`~repro.routing.cache.ShardedRouteCache`:
 * a corrupt, truncated, or foreign record degrades to a *miss* plus a
   :class:`ResultStoreWarning` (the file is removed and the cell is
   simply re-simulated) — a damaged store can cost time, never
-  correctness.
+  correctness;
+* failed sweep cells (``keep_going``) are kept apart in the
+  ``failures/`` sidecar, one typed error document per digest, written the
+  same atomic way.  Nothing answers from it: a resumed sweep retries
+  those cells, and a later success for the digest clears its entry.
 """
 
 from __future__ import annotations
@@ -33,14 +38,20 @@ import time
 import warnings
 from pathlib import Path
 
-from repro.errors import ServiceError
-from repro.sweep.checkpoint import RESULT_FIELDS
+from repro.errors import ConfigError, ServiceError
 
-__all__ = ["RESULT_SCHEMA_VERSION", "ResultStore", "ResultStoreWarning",
-           "content_digest", "validate_store_record"]
+__all__ = ["RESULT_FIELDS", "RESULT_SCHEMA_VERSION", "ResultStore",
+           "ResultStoreWarning", "content_digest", "validate_store_record"]
 
 #: Schema tag of every persisted result record.
 RESULT_SCHEMA_VERSION = "repro-service-result-v1"
+
+#: Fields every stored cell record (the sweep runner's result document)
+#: must carry.
+RESULT_FIELDS = frozenset({
+    "workload", "topology", "family", "makespan", "num_flows", "events",
+    "reallocations", "wall_seconds",
+})
 
 
 class ResultStoreWarning(UserWarning):
@@ -107,7 +118,13 @@ class ResultStore:
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ConfigError(
+                f"result store path {self.root} is not a directory "
+                f"(service stores and sweep checkpoints are directories "
+                f"of records)") from None
         self.stats = {"hits": 0, "misses": 0, "puts": 0, "corrupt": 0,
                       "swept": 0}
         self.stats["swept"] = self._sweep_stale_tmp()
@@ -121,7 +138,7 @@ class ResultStore:
         """
         cutoff = time.time() - self.TMP_STALE_S
         swept = 0
-        for tmp in self.root.glob("??/*.tmp"):
+        for tmp in self.root.glob("*/*.tmp"):
             try:
                 if tmp.stat().st_mtime < cutoff:
                     os.remove(tmp)
@@ -132,6 +149,19 @@ class ResultStore:
 
     def _path(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest}.json"
+
+    def _failure_path(self, digest: str) -> Path:
+        return self.root / "failures" / f"{digest}.json"
+
+    @staticmethod
+    def _write_atomic(path: Path, doc: dict) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        with tmp.open("w") as fh:
+            fh.write(json.dumps(doc) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
 
     # ------------------------------------------------------------------ read
     def get(self, digest: str) -> dict | None:
@@ -195,13 +225,25 @@ class ResultStore:
             "record": record,
         }
         validate_store_record(doc)
-        path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        with tmp.open("w") as fh:
-            fh.write(json.dumps(doc) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        self._write_atomic(self._path(digest), doc)
+        self._failure_path(digest).unlink(missing_ok=True)
         self.stats["puts"] += 1
         return doc
+
+    # ------------------------------------------------------- failure sidecar
+    def put_failure(self, digest: str, error_doc: dict) -> None:
+        """Record a failed cell's typed error document for ``digest``."""
+        self._write_atomic(self._failure_path(digest), error_doc)
+
+    def failures(self) -> dict[str, dict]:
+        """Recorded failures by digest; unreadable entries are skipped
+        (a failed cell is retried whether or not its entry survives)."""
+        found = {}
+        for path in sorted(self.root.glob("failures/*.json")):
+            try:
+                doc = json.loads(path.read_text())
+            except (OSError, json.JSONDecodeError):
+                continue
+            if isinstance(doc, dict) and "error" in doc:
+                found[path.stem] = doc
+        return found

@@ -129,9 +129,8 @@ def run_campaign(*, endpoints: int, workload: WorkloadSpec,
         each topology's *healthy* makespan; ``mttr_frac <= 0`` makes
         faults permanent.
     ``checkpoint``
-        Base path: the healthy phase appends to ``<base>.healthy.jsonl``
-        and the Monte-Carlo phase to ``<base>.mc.jsonl``, both resumable
-        with ``resume=True``.
+        Result-store directory shared by both phases (their cells have
+        distinct digests), resumable with ``resume=True``.
     """
     if not seeds:
         raise ConfigError("campaign needs at least one timeline seed")
@@ -161,9 +160,7 @@ def run_campaign(*, endpoints: int, workload: WorkloadSpec,
     if log is not None:
         log(f"phase 1/2: {len(healthy_cells)} healthy reference run(s)")
     healthy_records = run_sweep(
-        healthy_plan, jobs=jobs,
-        checkpoint=None if checkpoint is None
-        else f"{os.fspath(checkpoint)}.healthy.jsonl",
+        healthy_plan, jobs=jobs, checkpoint=checkpoint,
         resume=resume and checkpoint is not None,
         log=log, cell_timeout=cell_timeout)
     healthy_by_label = {r.topology: r for r in healthy_records}
@@ -195,9 +192,7 @@ def run_campaign(*, endpoints: int, workload: WorkloadSpec,
             f"({len(seeds)} seed(s) x {len(topologies)} topologies)")
     failures: dict[str, dict] = {}
     mc_records = run_sweep(
-        mc_plan, jobs=jobs,
-        checkpoint=None if checkpoint is None
-        else f"{os.fspath(checkpoint)}.mc.jsonl",
+        mc_plan, jobs=jobs, checkpoint=checkpoint,
         resume=resume and checkpoint is not None,
         log=log, keep_going=True,
         cell_timeout=cell_timeout, metrics_path=metrics_path,

@@ -2,13 +2,15 @@
 
 A :class:`SweepPlan` is the full cross product of one sweep — every
 ``(workload, topology)`` cell plus the global knobs (endpoints, fidelity,
-seed) that make each cell reproducible in isolation.  Cells are addressed
-by a stable string key, which is what the checkpoint store records and the
-resume path matches against.
+seed) that make each cell reproducible in isolation.  A cell's canonical
+:meth:`SweepCell.fingerprint` plus :meth:`SweepPlan.meta` is its content
+address in the result store (checkpoints and ``repro serve`` alike); the
+stable string :meth:`SweepCell.key` names the cell within one run.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from repro._version import __version__ as ENGINE_VERSION
@@ -33,7 +35,7 @@ class SweepCell:
 
     ``routing`` selects the candidate-selection policy
     (:data:`repro.routing.ROUTING_POLICIES`); the default keeps the
-    engine's single-path behaviour and pre-existing checkpoint keys.
+    engine's single-path behaviour and pre-existing cell keys.
 
     ``timeline`` attaches a *transient* fault trace
     (:class:`~repro.topology.timeline.TimelineSpec`, built against the
@@ -62,7 +64,7 @@ class SweepCell:
         return bool(self.fail_links or self.fail_uplinks)
 
     def fault_fingerprint(self) -> dict | None:
-        """Checkpoint-stable fault description; ``None`` when healthy."""
+        """Stable fault description; ``None`` when healthy."""
         if not self.has_faults():
             return None
         return {"cables": self.fail_links, "uplinks": self.fail_uplinks,
@@ -88,21 +90,30 @@ class SweepCell:
             return ""  # static cells keep their pre-timeline keys
         return f"|{self.timeline.label()}"
 
+    def _params_suffix(self) -> str:
+        if not self.workload.params:
+            return ""  # default-parameter cells keep their pre-params keys
+        params = json.dumps(self.workload.params, sort_keys=True,
+                            separators=(",", ":"))
+        return f"|params{params}"
+
     def fingerprint(self) -> dict:
         """Canonical content description of this cell's simulation.
 
         The single fingerprint shared by every identity the cell has:
-        the checkpoint key (:meth:`key` is a stable string projection of
-        the ``workload``/``tasks``/``topology``/``faults``/``routing``/
-        ``timeline`` entries) and the service result store (which hashes
-        this dict together with the plan globals into a content address,
-        see :func:`repro.service.store.content_digest`).  It additionally
-        carries the fields the checkpoint key deliberately omits: the
-        placement policy (checkpoint keys predate it and must stay
+        the cell key (:meth:`key` is a stable string projection of the
+        ``workload``/``tasks``/``topology``/``faults``/``routing``/
+        ``timeline``/``workload_params`` entries) and the result store
+        (which hashes this dict together with the plan globals into a
+        content address, see :func:`repro.service.store.content_digest`).
+        It additionally carries the fields the key deliberately omits:
+        the placement policy (keys predate it and must stay
         byte-identical) and the engine version, so a store populated by
-        one engine release never answers for another.
+        one engine release never answers for another.  Workload params
+        appear only when set, so default-parameter cells keep their
+        digests.
         """
-        return {
+        fp = {
             "workload": self.workload.name,
             "tasks": self.workload.tasks,
             "topology": self.topology.label(),
@@ -113,23 +124,24 @@ class SweepCell:
                          else self.timeline.fingerprint()),
             "engine": ENGINE_VERSION,
         }
+        if self.workload.params:
+            fp["workload_params"] = dict(self.workload.params)
+        return fp
 
     def key(self) -> str:
-        """Stable checkpoint key (a projection of :meth:`fingerprint`).
+        """Stable cell key (a projection of :meth:`fingerprint`).
 
         Includes the task count because the same workload name can run at
-        different caps (``--quadratic-tasks``); a checkpoint written at one
+        different caps (``--quadratic-tasks``); a record written at one
         cap must not satisfy a sweep at another.  Includes the fault
-        fingerprint for degraded cells so resume never mixes healthy and
-        degraded runs, and the routing policy for non-default policies so
-        resume never mixes policies.  Extra workload params are not
-        fingerprinted — use a fresh checkpoint when overriding them.
+        fingerprint for degraded cells so healthy and degraded runs never
+        mix, the routing policy for non-default policies, and the
+        workload params when any are set.
         """
-        fp = self.fingerprint()
-        tasks = "all" if fp["tasks"] is None else fp["tasks"]
-        return (f"{fp['workload']}@{tasks}|{fp['topology']}"
+        tasks = "all" if self.workload.tasks is None else self.workload.tasks
+        return (f"{self.workload.name}@{tasks}|{self.topology.label()}"
                 f"{self._fault_suffix()}{self._routing_suffix()}"
-                f"{self._timeline_suffix()}")
+                f"{self._timeline_suffix()}{self._params_suffix()}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +154,7 @@ class SweepPlan:
     cells: tuple[SweepCell, ...]
 
     def meta(self) -> dict:
-        """Fingerprint checked against a checkpoint before resuming."""
+        """The plan globals folded into every cell's content digest."""
         return {"endpoints": self.endpoints, "fidelity": self.fidelity,
                 "seed": self.seed}
 

@@ -18,7 +18,8 @@ assigns groups and the worker streams results back.  Nothing is shared
 between workers (a shared queue's internal lock, held by a process at the
 instant it is SIGKILLed, would deadlock every other user of the queue),
 so one worker's death can never wedge the rest of the pool.  The parent
-appends each result to the (optional) JSONL checkpoint the moment it
+stores each result in the (optional) checkpoint — a
+:class:`~repro.service.store.ResultStore` directory — the moment it
 arrives, so a killed sweep loses only in-flight cells and ``resume=True``
 re-runs only what is missing.  Simulation is deterministic, so serial and
 parallel runs produce identical records (wall-clock fields aside) — fault
@@ -38,12 +39,13 @@ second worker it is marked failed instead of being retried forever.
 cap is killed and the cell marked failed (other cells of its group are
 requeued).  With ``keep_going=True`` per-cell failures — simulation
 errors, disconnected degraded networks, crashes, timeouts — become typed
-error records in the checkpoint and are reported at the end; without it
-the first failure aborts the sweep, as before.
+error records in the checkpoint's failure sidecar and are reported at the
+end; without it the first failure aborts the sweep, as before.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing as mp
 import os
 import time
@@ -60,7 +62,6 @@ from repro.engine import simulate
 from repro.errors import ReproError, SimulationError
 from repro.mapping import placement as placement_mod
 from repro.routing.cache import RouteCacheConfig, make_route_cache
-from repro.sweep.checkpoint import SweepCheckpoint
 from repro.sweep.plan import SweepCell, SweepPlan
 from repro.topology.base import Topology
 from repro.topology.degraded import DegradedTopology, FaultSet
@@ -74,8 +75,9 @@ DEFAULT_MAX_RESPAWNS = 3
 #: Times a cell may be attempted when its worker keeps dying under it.
 _MAX_CELL_ATTEMPTS = 2
 
-#: Type of the per-worker workload cache: (name, tasks) -> prepared inputs.
-_FlowsCache = dict[tuple[str, int | None], tuple]
+#: Type of the per-worker workload cache: (name, tasks, params) ->
+#: prepared inputs.
+_FlowsCache = dict[tuple[str, int | None, str], tuple]
 
 
 def run_sweep(plan: SweepPlan, *,
@@ -104,13 +106,18 @@ def run_sweep(plan: SweepPlan, *,
         higher values fan topology groups out over a worker pool that
         survives individual worker deaths (see module docstring).
     checkpoint:
-        Optional JSONL checkpoint path.  Completed cells are appended as
-        they finish; with ``resume=True`` cells already in the file are
-        not recomputed (their stored records are returned instead).
-        Without ``resume`` an existing file is replaced.
+        Optional result-store directory
+        (:class:`~repro.service.store.ResultStore`, the store ``repro
+        serve`` answers from).  Each completed cell is stored under its
+        content digest (cell fingerprint plus :meth:`SweepPlan.meta`) as
+        it finishes; with ``resume=True`` cells already stored are not
+        recomputed (their stored records are returned instead).  Without
+        ``resume`` the plan's cells are re-simulated and their records
+        overwritten; other records in the directory stay.
     resume:
         Skip cells present in ``checkpoint``.  Requires ``checkpoint``.
-        Cells stored as *error* records are retried, not skipped.
+        Failed cells live only in the store's failure sidecar, so they
+        are retried, not skipped.
     log:
         Progress sink (one message per call); ``None`` silences progress.
     topology_provider:
@@ -119,10 +126,10 @@ def run_sweep(plan: SweepPlan, *,
         builder so repeated ``run`` calls share constructed topologies.
         Worker processes always build their own.
     keep_going:
-        Record per-cell failures as typed error entries in the checkpoint
-        and keep sweeping instead of aborting on the first failure.  Failed
-        cells are reported through ``log`` at the end and omitted from the
-        returned records.
+        Record per-cell failures as typed error entries (in the
+        checkpoint's failure sidecar) and keep sweeping instead of
+        aborting on the first failure.  Failed cells are reported through
+        ``log`` at the end and omitted from the returned records.
     cell_timeout:
         Wall-clock seconds a single cell may run.  In parallel mode the
         offending worker is killed and the cell marked failed; in serial
@@ -139,7 +146,7 @@ def run_sweep(plan: SweepPlan, *,
         The file is regenerated every run: on resume, metrics stored in
         the checkpoint's cell records are replayed first, so a kill/resume
         cycle still yields exactly one record per cell.  Cells resumed
-        from a checkpoint written *without* metrics have none to replay;
+        from records written *without* metrics have none to replay;
         they are counted and reported through ``log``.
     metrics_append:
         Open the ``metrics_path`` stream in append mode instead of
@@ -151,18 +158,18 @@ def run_sweep(plan: SweepPlan, *,
         candidates infeasible instead of only seeing them vanish from the
         returned records.
     results_out:
-        Optional dict the raw checkpoint-shaped cell documents are merged
-        into, keyed by cell key — resumed cells included.  The service
-        result store persists these documents verbatim; the returned
-        :class:`RunRecord` list is a narrower projection.
+        Optional dict the raw cell documents are merged into, keyed by
+        cell key — resumed cells included.  The result store persists
+        these documents verbatim; the returned :class:`RunRecord` list is
+        a narrower projection.
     route_cache_config:
         Explicit per-run route-cache policy
         (:class:`~repro.routing.cache.RouteCacheConfig`).  In parallel
         mode the config's resident-shard budget is the budget of the
         *whole pool*: each worker receives ``config.for_worker(...)`` —
         its even share — so a sweep's total resident set stays bounded
-        regardless of ``jobs``.  ``None`` keeps the historical behaviour
-        (each worker reads the ``REPRO_ROUTE_CACHE*`` env knobs).
+        regardless of ``jobs``.  ``None`` gives every worker the default
+        :class:`RouteCacheConfig` (a per-worker budget).
     """
     if jobs < 1:
         raise SimulationError(f"jobs must be >= 1, got {jobs}")
@@ -175,21 +182,11 @@ def run_sweep(plan: SweepPlan, *,
         raise SimulationError(
             f"max_respawns must be >= 0, got {max_respawns}")
 
-    store = None
+    save = None
     done: dict[str, dict] = {}
     if checkpoint is not None:
-        store = SweepCheckpoint(checkpoint, plan.meta())
-        loaded = store.start(resume=resume, log=log)
-        # error records from a previous --keep-going run are retried
-        done = {k: doc for k, doc in loaded.items() if "error" not in doc}
-        retries = len(loaded) - len(done)
-        if retries and log is not None:
-            log(f"checkpoint {store.path}: retrying {retries} cell(s) "
-                f"previously recorded as failed")
+        save, done = _open_checkpoint(plan, checkpoint, resume, log)
     pending = plan.pending(done)
-    if store is not None and log is not None:
-        log(f"checkpoint {store.path}: {len(plan.cells) - len(pending)} of "
-            f"{len(plan.cells)} cells already complete")
 
     stream = None
     if metrics_path is not None:
@@ -209,11 +206,11 @@ def run_sweep(plan: SweepPlan, *,
     failures: dict[str, dict] = {}
     try:
         if jobs == 1:
-            records = _run_serial(plan, pending, store, log,
+            records = _run_serial(plan, pending, save, log,
                                   topology_provider, keep_going, cell_timeout,
                                   failures, stream, route_cache_config)
         else:
-            records = _run_parallel(plan, pending, store, log, jobs,
+            records = _run_parallel(plan, pending, save, log, jobs,
                                     keep_going, cell_timeout, max_respawns,
                                     failures, stream, route_cache_config)
     finally:
@@ -237,12 +234,59 @@ def run_sweep(plan: SweepPlan, *,
             if c.key() in by_key]
 
 
+def _open_checkpoint(plan: SweepPlan, checkpoint: str | os.PathLike,
+                     resume: bool, log: Callable[[str], None] | None
+                     ) -> tuple[Callable[[dict], None], dict[str, dict]]:
+    """Bind a sweep to its result-store directory.
+
+    Returns the sink each finished cell document goes to (results into
+    the store, ``keep_going`` failures into its sidecar) and, when
+    resuming, the stored records of the plan's cells by key.
+    """
+    # imported here: repro.service imports repro.sweep
+    from repro.service.store import ResultStore, content_digest
+
+    store = ResultStore(checkpoint)
+    meta = plan.meta()
+    cells = {c.key(): c for c in plan.cells}
+    digests = {key: content_digest(c.fingerprint(), meta)
+               for key, c in cells.items()}
+
+    def save(doc: dict) -> None:
+        digest = digests[doc["key"]]
+        if "error" in doc:
+            store.put_failure(digest, doc)
+        else:
+            store.put(digest, cells[doc["key"]].fingerprint(), meta, doc)
+
+    done: dict[str, dict] = {}
+    if resume:
+        for key, digest in digests.items():
+            stored = store.get(digest)
+            if stored is not None:
+                done[key] = stored["record"]
+        if log is not None:
+            if store.stats["corrupt"]:
+                log(f"checkpoint {store.root}: removed "
+                    f"{store.stats['corrupt']} unreadable record(s); the "
+                    f"affected cells will be re-run")
+            failed = store.failures().keys() & {
+                d for k, d in digests.items() if k not in done}
+            if failed:
+                log(f"checkpoint {store.root}: retrying {len(failed)} "
+                    f"cell(s) previously recorded as failed")
+    if log is not None:
+        log(f"checkpoint {store.root}: {len(done)} of {len(plan.cells)} "
+            f"cells already complete")
+    return save, done
+
+
 # ---------------------------------------------------------------- cell work
 def _prepare_workload(plan: SweepPlan, cell: SweepCell,
                       flows_cache: _FlowsCache) -> tuple:
     """Build (once per workload) the flow set and placement for a cell."""
     wspec = cell.workload
-    key = (wspec.name, wspec.tasks)
+    key = _workload_key(cell)
     if key not in flows_cache:
         flows = wspec.build(plan.endpoints, seed=plan.seed).build()
         tasks = wspec.resolve_tasks(plan.endpoints)
@@ -253,6 +297,14 @@ def _prepare_workload(plan: SweepPlan, cell: SweepCell,
                                               plan.endpoints, seed=plan.seed)
         flows_cache[key] = (flows, placement, tasks)
     return flows_cache[key]
+
+
+def _workload_key(cell: SweepCell) -> tuple[str, int | None, str]:
+    """Flow-set identity: cells differing only in workload params must
+    not share prepared flows."""
+    wspec = cell.workload
+    return (wspec.name, wspec.tasks,
+            json.dumps(wspec.params, sort_keys=True))
 
 
 def _cell_topology(cell: SweepCell, base: Topology,
@@ -273,7 +325,7 @@ def _run_cell(plan: SweepPlan, cell: SweepCell, topology: Topology,
               flows_cache: _FlowsCache,
               route_cache: dict[tuple[int, int], np.ndarray],
               collect_metrics: bool = False) -> dict:
-    """Simulate one cell and return its checkpointable record.
+    """Simulate one cell and return its storable record.
 
     With ``collect_metrics`` the cell runs instrumented (fresh
     :class:`~repro.obs.MetricsCollector` per cell) and the record carries
@@ -321,7 +373,7 @@ def _run_cell(plan: SweepPlan, cell: SweepCell, topology: Topology,
 
 
 def _error_doc(cell: SweepCell, error_type: str, message: str) -> dict:
-    """Typed checkpoint entry for a cell that could not produce a result."""
+    """Typed failure entry for a cell that could not produce a result."""
     return {
         "key": cell.key(),
         "workload": cell.workload.name,
@@ -364,7 +416,7 @@ def _failure_log_line(doc: dict) -> str:
 
 # -------------------------------------------------------------- serial path
 def _run_serial(plan: SweepPlan, pending: list[SweepCell],
-                store: SweepCheckpoint | None,
+                save: Callable[[dict], None] | None,
                 log: Callable[[str], None] | None,
                 topology_provider: Callable[..., Topology] | None,
                 keep_going: bool, cell_timeout: float | None,
@@ -388,17 +440,17 @@ def _run_serial(plan: SweepPlan, pending: list[SweepCell],
     degraded_cache: dict[str, Topology] = {}
     route_caches: dict[str, MutableMapping] = {}
     records: dict[str, dict] = {}
-    current_workload: tuple[str, int | None] | None = None
+    current_workload: tuple[str, int | None, str] | None = None
 
     def record_failure(doc: dict) -> None:
         failures[doc["key"]] = doc
-        if store is not None:
-            store.append(doc)
+        if save is not None:
+            save(doc)
         if log is not None:
             log(_failure_log_line(doc))
 
     for cell in pending:
-        wkey = (cell.workload.name, cell.workload.tasks)
+        wkey = _workload_key(cell)
         if wkey != current_workload:
             flows, _, tasks = _prepare_workload(plan, cell, flows_cache)
             if log is not None:
@@ -431,8 +483,8 @@ def _run_serial(plan: SweepPlan, pending: list[SweepCell],
             record_failure(err)
             continue
         records[doc["key"]] = doc
-        if store is not None:
-            store.append(doc)
+        if save is not None:
+            save(doc)
         if stream is not None:
             stream.write_cell(doc)
         if log is not None:
@@ -526,7 +578,7 @@ class _WorkerState:
 
 
 def _run_parallel(plan: SweepPlan, pending: list[SweepCell],
-                  store: SweepCheckpoint | None,
+                  save: Callable[[dict], None] | None,
                   log: Callable[[str], None] | None,
                   jobs: int, keep_going: bool, cell_timeout: float | None,
                   max_respawns: int, failures: dict[str, dict],
@@ -581,8 +633,8 @@ def _run_parallel(plan: SweepPlan, pending: list[SweepCell],
         outstanding.pop(key, None)
         if keep_going:
             failures[key] = doc
-            if store is not None:
-                store.append(doc)
+            if save is not None:
+                save(doc)
             if log is not None:
                 log(_failure_log_line(doc))
         else:
@@ -598,8 +650,8 @@ def _run_parallel(plan: SweepPlan, pending: list[SweepCell],
             records[doc["key"]] = doc
             outstanding.pop(doc["key"], None)
             state.current = None
-            if store is not None:
-                store.append(doc)
+            if save is not None:
+                save(doc)
             if stream is not None:
                 stream.write_cell(doc)
             if log is not None:

@@ -10,6 +10,7 @@ import pytest
 from repro.cli import main
 from repro.core.config import TopologySpec, WorkloadSpec
 from repro.errors import ConfigError
+from repro.service.store import ResultStore
 from repro.sweep import (CAMPAIGN_SCHEMA_VERSION, campaign_table,
                          parse_seed_range, run_campaign,
                          write_campaign_report)
@@ -121,8 +122,9 @@ class TestRunCampaign:
         parallel = tiny_campaign(seeds=[0, 1], jobs=2,
                                  checkpoint=tmp_path / "ck")
         assert serial == parallel
-        assert (tmp_path / "ck.healthy.jsonl").exists()
-        assert (tmp_path / "ck.mc.jsonl").exists()
+        # both phases share one store: 1 healthy + 2 Monte-Carlo cells
+        store = ResultStore(tmp_path / "ck")
+        assert len(store) + len(store.failures()) == 3
 
     def test_resume_from_checkpoint_skips_completed(self, tmp_path):
         ck = tmp_path / "ck"
@@ -132,6 +134,25 @@ class TestRunCampaign:
                                 log=lines.append)
         assert resumed == first
         assert any("already complete" in ln for ln in lines)
+
+    def test_resume_reruns_no_completed_cell(self, tmp_path, monkeypatch):
+        import repro.sweep.runner as runner_mod
+
+        ck = tmp_path / "ck"
+        first = tiny_campaign(seeds=[0, 1, 2], checkpoint=ck)
+        failed = {doc["key"] for doc in ResultStore(ck).failures().values()}
+        ran: list[str] = []
+        real = runner_mod._run_cell
+
+        def counting(plan, cell, *args, **kwargs):
+            ran.append(cell.key())
+            return real(plan, cell, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "_run_cell", counting)
+        resumed = tiny_campaign(seeds=[0, 1, 2], checkpoint=ck, resume=True)
+        assert resumed == first
+        # only cells recorded as failed (sidecar) are retried
+        assert set(ran) <= failed
 
     def test_permanent_faults_via_zero_mttr(self):
         report = tiny_campaign(seeds=[0], mttr_frac=0.0)

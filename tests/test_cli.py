@@ -184,15 +184,39 @@ class TestInputValidation:
         assert "unknown topology family 'hypercube'" in err
         assert "nesttree" in err  # choices listed
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--endpoints", "64", "--port", "0", "--store"],
+        ["fig4", "--endpoints", "64", "--workloads", "allreduce", "--quiet",
+         "--checkpoint"],
+        ["fig5", "--endpoints", "64", "--workloads", "reduce", "--quiet",
+         "--checkpoint"],
+        ["resilience", "--endpoints", "64", "--workload", "reduce",
+         "--quiet", "--checkpoint"],
+        ["campaign", "--endpoints", "64", "--workload", "reduce",
+         "--topologies", "torus", "--seeds", "0:1", "--cables", "1",
+         "--quiet", "--checkpoint"],
+        ["optimize", "--endpoints", "64", "--budget", "2",
+         "--workloads", "reduce", "--quiet", "--checkpoint"],
+    ], ids=lambda argv: argv[0])
+    def test_store_path_that_is_a_file(self, capsys, tmp_path, argv):
+        # e.g. a checkpoint file left over from the old JSONL format
+        path = tmp_path / "old.ck.jsonl"
+        path.write_text('{"magic": "repro-sweep-v1"}\n')
+        err = self._error(capsys, [*argv, str(path)])
+        assert "not a directory" in err and str(path) in err
+        assert "Traceback" not in err
+
 
 class TestSweepFlags:
     def test_fig5_with_jobs_and_checkpoint(self, capsys, tmp_path):
-        ck = tmp_path / "ck.jsonl"
+        from repro.service.store import ResultStore
+
+        ck = tmp_path / "ck"
         assert main(["fig5", "--endpoints", "64", "--workloads", "reduce",
                      "--quiet", "--jobs", "2",
                      "--checkpoint", str(ck)]) == 0
         assert "== reduce ==" in capsys.readouterr().out
-        assert ck.read_text().startswith('{"magic"')
+        assert len(ResultStore(ck)) == 18  # one record per cell
 
     def test_fig5_with_fault_injection(self, capsys, tmp_path):
         out_file = tmp_path / "fig.csv"
@@ -205,7 +229,7 @@ class TestSweepFlags:
         assert "2c+0u@s1" in out_file.read_text()
 
     def test_fig5_resume_from_checkpoint(self, capsys, tmp_path):
-        ck = tmp_path / "ck.jsonl"
+        ck = tmp_path / "ck"
         assert main(["fig5", "--endpoints", "64", "--workloads", "reduce",
                      "--quiet", "--checkpoint", str(ck)]) == 0
         first = capsys.readouterr().out

@@ -1,11 +1,11 @@
 """Regression tests for the canonical cell fingerprint.
 
-The checkpoint key format is load-bearing: every JSONL checkpoint written
-by an earlier release resumes against keys recomputed by this one, so
-``SweepCell.key()`` (now a projection of the shared ``fingerprint()``)
-must reproduce the historical strings *byte-identically*.  The literals
-below were produced by the pre-fingerprint implementation — do not
-regenerate them from the code under test.
+The cell key format is load-bearing: sweep results, metrics streams and
+``results_out`` are keyed by it, so ``SweepCell.key()`` (a projection of
+the shared ``fingerprint()``) must reproduce the historical strings
+*byte-identically*.  The literals below were produced by the
+pre-fingerprint implementation — do not regenerate them from the code
+under test.
 """
 
 from __future__ import annotations
@@ -62,9 +62,40 @@ class TestCheckpointKeyRegression:
                               "|tl(1,1,s0,h1,r-)")
 
     def test_placement_never_in_key(self):
-        # checkpoint keys predate the placement axis; two placements of
+        # cell keys predate the placement axis; two placements of
         # the same cell share a key (but not a fingerprint)
         assert _cell(placement="random").key() == _cell().key()
+
+
+class TestWorkloadParams:
+    """Workload params are part of a cell's identity — when set."""
+
+    def test_params_distinguish_key_and_digest(self):
+        from repro.service.store import content_digest
+
+        meta = {"endpoints": 64, "fidelity": "approx", "seed": 0}
+        plain = _cell()
+        tuned = _cell(workload=WorkloadSpec(
+            "allreduce", params={"message_size": 2e6}))
+        assert tuned.key() == ('allreduce@all|nesttree(2,4)'
+                               '|params{"message_size":2000000.0}')
+        assert tuned.fingerprint()["workload_params"] == \
+            {"message_size": 2e6}
+        assert content_digest(plain.fingerprint(), meta) != \
+            content_digest(tuned.fingerprint(), meta)
+
+    def test_empty_params_keep_historical_identity(self):
+        cell = _cell(workload=WorkloadSpec("allreduce", params={}))
+        assert cell.key() == "allreduce@all|nesttree(2,4)"
+        assert "workload_params" not in cell.fingerprint()
+        assert cell.fingerprint() == _cell().fingerprint()
+
+    def test_param_order_is_canonical(self):
+        a = _cell(workload=WorkloadSpec(
+            "permutation", params={"pattern": "shuffle", "repetitions": 2}))
+        b = _cell(workload=WorkloadSpec(
+            "permutation", params={"repetitions": 2, "pattern": "shuffle"}))
+        assert a.key() == b.key()
 
 
 class TestFingerprint:

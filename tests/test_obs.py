@@ -261,14 +261,18 @@ class TestSweepMetrics:
         assert validate_metrics_file(parallel) == len(pkeys)
 
     def test_resume_replays_checkpointed_metrics(self, tmp_path):
-        ck, path = tmp_path / "ck.jsonl", tmp_path / "m.jsonl"
+        from repro.service.store import content_digest
+
+        ck, path = tmp_path / "ck", tmp_path / "m.jsonl"
         table = make_explorer().run(["reduce"], checkpoint=str(ck),
                                     metrics=str(path))
         total = len(table.records)
 
         # simulate a mid-sweep kill: drop the last 3 checkpointed cells
-        lines = ck.read_text().splitlines()
-        ck.write_text("\n".join(lines[:-3]) + "\n")
+        plan = make_explorer().plan(["reduce"])
+        for cell in plan.cells[-3:]:
+            digest = content_digest(cell.fingerprint(), plan.meta())
+            (ck / digest[:2] / f"{digest}.json").unlink()
         path.unlink()   # the metrics file is regenerated, not appended
 
         make_explorer().run(["reduce"], checkpoint=str(ck), resume=True,
@@ -276,7 +280,7 @@ class TestSweepMetrics:
         assert validate_metrics_file(path) == total
 
     def test_resume_without_prior_metrics_warns(self, tmp_path):
-        ck, path = tmp_path / "ck.jsonl", tmp_path / "m.jsonl"
+        ck, path = tmp_path / "ck", tmp_path / "m.jsonl"
         make_explorer().run(["reduce"], checkpoint=str(ck))  # no metrics
 
         messages: list[str] = []
@@ -289,10 +293,13 @@ class TestSweepMetrics:
         assert validate_metrics_file(path) == 0
 
     def test_checkpoint_cells_carry_metrics(self, tmp_path):
-        ck, path = tmp_path / "ck.jsonl", tmp_path / "m.jsonl"
+        from repro.service.store import ResultStore
+
+        ck, path = tmp_path / "ck", tmp_path / "m.jsonl"
         make_explorer().run(["reduce"], checkpoint=str(ck),
                             metrics=str(path))
-        cells = [json.loads(l) for l in ck.read_text().splitlines()[1:]]
+        store = ResultStore(ck)
+        cells = [store.get(d)["record"] for d in store.digests()]
         assert cells and all("metrics" in doc for doc in cells)
         for doc in cells:
             validate_snapshot(doc["metrics"])

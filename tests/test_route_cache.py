@@ -202,30 +202,33 @@ class TestCorruptShard:
 
 
 class TestFactory:
-    def test_default_is_dict(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ROUTE_CACHE", raising=False)
+    def test_default_is_dict(self):
         assert type(make_route_cache(1024)) is dict
         assert type(make_route_cache(None)) is dict
 
-    def test_auto_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ROUTE_CACHE", raising=False)
-        assert isinstance(make_route_cache(65536), ShardedRouteCache)
-        monkeypatch.setenv("REPRO_ROUTE_CACHE_AUTO", "512")
-        assert isinstance(make_route_cache(512), ShardedRouteCache)
-        assert type(make_route_cache(511)) is dict
+    def test_auto_threshold(self):
+        from repro.routing.cache import (DEFAULT_AUTO_ENDPOINTS,
+                                         RouteCacheConfig)
 
-    def test_explicit_modes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ROUTE_CACHE", "sharded")
-        monkeypatch.setenv("REPRO_ROUTE_CACHE_SHARDS", "9")
-        monkeypatch.setenv("REPRO_ROUTE_CACHE_RESIDENT", "0")
-        c = make_route_cache(64)
+        assert DEFAULT_AUTO_ENDPOINTS == 65536
+        assert isinstance(make_route_cache(65536), ShardedRouteCache)
+        assert type(make_route_cache(65535)) is dict
+        auto = RouteCacheConfig(mode="auto")
+        assert isinstance(make_route_cache(65536, config=auto),
+                          ShardedRouteCache)
+        assert type(make_route_cache(65535, config=auto)) is dict
+
+    def test_explicit_modes(self):
+        from repro.routing.cache import RouteCacheConfig
+
+        c = make_route_cache(64, config=RouteCacheConfig(
+            mode="sharded", shards=9, resident=0))
         assert isinstance(c, ShardedRouteCache)
         assert c.shards == 9 and c.max_resident is None
-        monkeypatch.setenv("REPRO_ROUTE_CACHE", "dict")
-        assert type(make_route_cache(10 ** 9)) is dict
-        monkeypatch.setenv("REPRO_ROUTE_CACHE", "bogus")
+        assert type(make_route_cache(
+            10 ** 9, config=RouteCacheConfig(mode="dict"))) is dict
         with pytest.raises(ConfigError):
-            make_route_cache(64)
+            make_route_cache(64, config=RouteCacheConfig(mode="bogus"))
 
 
 @pytest.mark.scale_smoke
@@ -281,26 +284,30 @@ class TestRouteCacheConfig:
             64, config=RouteCacheConfig(mode="sharded"))
         assert isinstance(sharded, ShardedRouteCache)
 
-    def test_explicit_fields_override_env(self, monkeypatch):
+    def test_explicit_fields_override_env(self):
+        # no environment variable is read: explicit fields are the policy
         from repro.routing.cache import RouteCacheConfig
 
-        monkeypatch.setenv("REPRO_ROUTE_CACHE", "dict")
-        monkeypatch.setenv("REPRO_ROUTE_CACHE_SHARDS", "128")
-        monkeypatch.setenv("REPRO_ROUTE_CACHE_RESIDENT", "32")
         cache = make_route_cache(
             64, config=RouteCacheConfig(mode="sharded", shards=8,
                                         resident=2))
         assert isinstance(cache, ShardedRouteCache)
         assert cache.shards == 8 and cache.max_resident == 2
 
-    def test_none_fields_fall_back_to_env(self, monkeypatch):
-        from repro.routing.cache import RouteCacheConfig
+    def test_none_fields_fall_back_to_env(self):
+        # unset fields take the library defaults (64 shards, 16 resident)
+        from repro.routing.cache import (DEFAULT_RESIDENT, DEFAULT_SHARDS,
+                                         RouteCacheConfig)
 
-        monkeypatch.setenv("REPRO_ROUTE_CACHE_SHARDS", "16")
-        monkeypatch.setenv("REPRO_ROUTE_CACHE_RESIDENT", "0")
+        assert (DEFAULT_SHARDS, DEFAULT_RESIDENT) == (64, 16)
         cache = make_route_cache(
             64, config=RouteCacheConfig(mode="sharded"))
-        assert cache.shards == 16 and cache.max_resident is None
+        assert cache.shards == DEFAULT_SHARDS
+        assert cache.max_resident == DEFAULT_RESIDENT
+        unbounded = make_route_cache(
+            64, config=RouteCacheConfig(mode="sharded", shards=16,
+                                        resident=0))
+        assert unbounded.shards == 16 and unbounded.max_resident is None
 
     def test_validation(self):
         from repro.routing.cache import RouteCacheConfig

@@ -27,6 +27,11 @@ OPTIMIZE_64 = ["optimize", "--endpoints", "64", "--budget", "8",
                "--quiet"]
 
 
+def stored(root: Path) -> dict[str, str]:
+    """A checkpoint store's record files by name (complete writes only)."""
+    return {p.name: p.read_text() for p in root.glob("??/*.json")}
+
+
 def run_optimize(capsys, *extra: str) -> str:
     assert main([*OPTIMIZE_64, *extra]) == 0
     return capsys.readouterr().out
@@ -162,15 +167,13 @@ class TestKillResume:
 
     def test_sigkilled_search_resumes_to_the_same_front(self, tmp_path):
         checkpoint = tmp_path / "search"
-        rank2 = tmp_path / "search.rank2.jsonl"
         report = tmp_path / "report.json"
 
         proc = self.spawn(checkpoint, report)
         # wait for full-fidelity cells to start landing, then kill
         deadline = time.monotonic() + 120
         while (time.monotonic() < deadline and proc.poll() is None
-               and not (rank2.exists()
-                        and len(rank2.read_text().splitlines()) >= 2)):
+               and not len(stored(checkpoint)) >= 1):
             time.sleep(0.02)
         interrupted = proc.poll() is None
         if interrupted:
@@ -178,14 +181,15 @@ class TestKillResume:
         proc.wait(timeout=60)
         assert interrupted, "search finished before it could be killed"
         assert not report.exists()
-        survivors = rank2.read_text()
-        assert len(survivors.splitlines()) >= 2  # meta + >=1 record
+        survivors = stored(checkpoint)
+        assert len(survivors) >= 1  # >=1 record
 
         resumed = self.spawn(checkpoint, report, "--resume")
         out, _ = resumed.communicate(timeout=600)
         assert resumed.returncode == 0
         # pre-kill records were reused verbatim, not re-simulated
-        assert rank2.read_text().startswith(survivors)
+        after = stored(checkpoint)
+        assert all(after[name] == text for name, text in survivors.items())
         doc = validate_report_file(report)
 
         # an uninterrupted run produces the identical report

@@ -8,6 +8,7 @@ from repro.errors import ConfigError
 from repro.search.fidelity import (RANK_FULL, RANK_PILOT, RANK_STATIC,
                                    FidelityLadder, LadderEvaluator)
 from repro.search.space import Candidate
+from repro.service.store import ResultStore
 from repro.topology.cost import CostModel, upper_tier_switches
 
 WORKLOADS = ("reduce", "permutation")
@@ -95,22 +96,28 @@ class TestSimulationRanks:
             ev.simulate_rank([], RANK_STATIC)
 
     def test_checkpoints_are_per_rank(self, tmp_path):
+        # both ranks share one store; a rank's records carry its scale
         base = tmp_path / "search"
-        ev = LadderEvaluator(ladder_64(), checkpoint=base)
+        ladder = ladder_64()
+        ev = LadderEvaluator(ladder, checkpoint=base)
         cand = Candidate("nesttree", 2, 2)
         ev.simulate_rank([cand], RANK_FULL)
-        assert (tmp_path / "search.rank2.jsonl").exists()
-        assert not (tmp_path / "search.rank1.jsonl").exists()
+        store = ResultStore(base)
+        scales = {store.get(d)["meta"]["endpoints"] for d in store.digests()}
+        assert scales == {ladder.rank_scale(RANK_FULL)}
 
     def test_resume_skips_completed_cells(self, tmp_path):
         base = tmp_path / "search"
         cand = Candidate("nesttree", 2, 2)
         first = LadderEvaluator(ladder_64(), checkpoint=base)
         out1 = first.simulate_rank([cand], RANK_FULL)
-        ck = tmp_path / "search.rank2.jsonl"
-        lines_after_first = ck.read_text()
+
+        def contents():
+            return {p.name: p.read_text() for p in base.glob("*/*.json")}
+
+        lines_after_first = contents()
         second = LadderEvaluator(ladder_64(), checkpoint=base, resume=True)
         out2 = second.simulate_rank([cand], RANK_FULL)
         assert out2 == out1
-        # every cell came from the checkpoint: nothing was appended
-        assert ck.read_text() == lines_after_first
+        # every cell came from the checkpoint: nothing was rewritten
+        assert contents() == lines_after_first

@@ -71,12 +71,31 @@ class TestDedup:
             return broker.counters, results
 
         counters, results = run(main())
-        # same checkpoint key, different placement: the key-collision
+        # same cell key, different placement: the key-collision
         # deferral must keep both and simulate each exactly once
         assert counters["simulated"] == 2
         assert all(r["status"] == "done" for r in results)
         assert results[0]["fingerprint"]["placement"] == "spread"
         assert results[1]["fingerprint"]["placement"] == "random"
+
+    def test_workload_params_are_distinct_cells(self, tmp_path):
+        cells = [make_cell(),
+                 make_cell(workload_params={"message_size": 2e6})]
+
+        async def main():
+            broker = Broker(ResultStore(tmp_path), endpoints=ENDPOINTS)
+            await broker.start()
+            digests = broker.submit_many("a", cells)
+            results = [await broker.result(d) for d in digests]
+            await broker.close()
+            return broker.counters, digests, results
+
+        counters, digests, results = run(main())
+        assert digests[0] != digests[1]
+        assert counters["simulated"] == 2 and counters["deduped"] == 0
+        # each answer is its own simulation (the message size differs)
+        assert results[1]["record"]["makespan"] != \
+            results[0]["record"]["makespan"]
 
 
 class TestMatchesDirectSweep:
@@ -107,6 +126,61 @@ class TestMatchesDirectSweep:
             # wall-clock legitimately differs; everything else must not
             want.pop("wall_seconds"), got.pop("wall_seconds")
             assert got == want
+
+
+class TestSweepsShareTheStore:
+    """A checkpointed sweep and the service answer each other's cells."""
+
+    def plan(self):
+        from repro.sweep.plan import SweepPlan
+
+        cells = (make_cell(),
+                 make_cell(family="nesttree", params={"t": 2, "u": 4}),
+                 make_cell(workload="allreduce", tasks=None))
+        return SweepPlan(endpoints=ENDPOINTS, fidelity="approx", seed=0,
+                         cells=cells)
+
+    def test_sweep_warms_the_service(self, tmp_path):
+        from repro.sweep.runner import run_sweep
+
+        plan = self.plan()
+        direct: dict[str, dict] = {}
+        run_sweep(plan, checkpoint=str(tmp_path), results_out=direct)
+        cell = plan.cells[1]
+
+        async def main():
+            broker = Broker(ResultStore(tmp_path), **plan.meta())
+            await broker.start()
+            doc = await broker.result(broker.submit("a", cell))
+            await broker.close()
+            return broker.counters, doc
+
+        counters, doc = run(main())
+        assert counters["simulated"] == 0 and counters["store_hits"] == 1
+        want, got = dict(direct[cell.key()]), dict(doc["record"])
+        want.pop("wall_seconds"), got.pop("wall_seconds")
+        assert got == want
+
+    def test_service_warms_a_resumed_sweep(self, tmp_path, monkeypatch):
+        import repro.sweep.runner as runner_mod
+
+        plan = self.plan()
+
+        async def main():
+            broker = Broker(ResultStore(tmp_path), **plan.meta())
+            await broker.start()
+            for digest in broker.submit_many("a", plan.cells):
+                await broker.result(digest)
+            await broker.close()
+
+        run(main())
+        monkeypatch.setattr(
+            runner_mod, "_run_cell",
+            lambda *a, **k: pytest.fail("resumed sweep re-simulated"))
+        records = runner_mod.run_sweep(plan, checkpoint=str(tmp_path),
+                                       resume=True)
+        assert [r.topology for r in records] == \
+            [c.topology.label() for c in plan.cells]
 
 
 class TestErrors:

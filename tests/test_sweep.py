@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.core import DesignSpaceExplorer
 from repro.errors import ConfigError, SimulationError
-from repro.sweep import SweepCheckpoint, run_sweep
+from repro.service.store import (RESULT_FIELDS, ResultStore,
+                                 ResultStoreWarning, content_digest)
+from repro.sweep import run_sweep
 from repro.sweep.runner import _group_cells
 
 ENDPOINTS = 64
@@ -32,6 +32,15 @@ def serial_table():
     return make_explorer().run(WORKLOADS)
 
 
+def record_paths(store_dir, plan):
+    """Each plan cell's record file in a checkpoint store, plan order."""
+    paths = []
+    for cell in plan.cells:
+        digest = content_digest(cell.fingerprint(), plan.meta())
+        paths.append(store_dir / digest[:2] / f"{digest}.json")
+    return paths
+
+
 class TestParallelMatchesSerial:
     def test_jobs4_identical_records(self, serial_table):
         parallel = make_explorer().run(WORKLOADS, jobs=4)
@@ -47,27 +56,27 @@ class TestParallelMatchesSerial:
 
 class TestCheckpointResume:
     def test_checkpoint_records_every_cell(self, tmp_path, serial_table):
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep"
         make_explorer().run(WORKLOADS, jobs=2, checkpoint=str(ck))
-        lines = ck.read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header["magic"] == "repro-sweep-v1"
-        assert header["meta"]["endpoints"] == ENDPOINTS
-        assert len(lines) - 1 == len(serial_table.records)
+        store = ResultStore(ck)
+        docs = [store.get(d) for d in store.digests()]
+        assert all(doc["meta"]["endpoints"] == ENDPOINTS for doc in docs)
+        assert len(docs) == len(serial_table.records)
 
     def test_resume_skips_checkpointed_cells(self, tmp_path, serial_table,
                                              monkeypatch):
         import repro.sweep.runner as runner_mod
 
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep"
         make_explorer().run(WORKLOADS, checkpoint=str(ck))
         total = len(serial_table.records)
 
         # simulate a mid-sweep kill: drop the last 5 cells, re-adding the
-        # first of them as a line torn mid-write
-        lines = ck.read_text().splitlines()
-        keep = len(lines) - 5
-        ck.write_text("\n".join(lines[:keep]) + "\n" + lines[keep][:30])
+        # first of them as a record torn mid-write
+        torn, *dropped = record_paths(ck, make_explorer().plan(WORKLOADS))[-5:]
+        for path in dropped:
+            path.unlink()
+        torn.write_text(torn.read_text()[:30])
 
         recomputed = []
         real_run_cell = runner_mod._run_cell
@@ -77,8 +86,9 @@ class TestCheckpointResume:
             return real_run_cell(plan, cell, *args, **kwargs)
 
         monkeypatch.setattr(runner_mod, "_run_cell", counting_run_cell)
-        resumed = make_explorer().run(WORKLOADS, checkpoint=str(ck),
-                                      resume=True)
+        with pytest.warns(ResultStoreWarning):  # the torn record
+            resumed = make_explorer().run(WORKLOADS, checkpoint=str(ck),
+                                          resume=True)
         # exactly the 4 dropped cells plus the torn one, nothing else
         assert len(recomputed) == 5
         assert table_fingerprint(resumed) == table_fingerprint(serial_table)
@@ -87,7 +97,7 @@ class TestCheckpointResume:
             self, tmp_path, serial_table, monkeypatch):
         import repro.sweep.runner as runner_mod
 
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep"
         make_explorer().run(WORKLOADS, checkpoint=str(ck))
         monkeypatch.setattr(
             runner_mod, "_run_cell",
@@ -96,31 +106,61 @@ class TestCheckpointResume:
                                       resume=True)
         assert table_fingerprint(resumed) == table_fingerprint(serial_table)
 
-    def test_without_resume_checkpoint_is_replaced(self, tmp_path):
-        ck = tmp_path / "sweep.jsonl"
-        make_explorer().run(["reduce"], checkpoint=str(ck))
-        first = ck.read_text()
-        make_explorer().run(["reduce"], checkpoint=str(ck))
-        lines = ck.read_text().splitlines()
-        assert len(lines) == len(first.splitlines())  # rewritten, not grown
+    def test_without_resume_checkpoint_is_replaced(self, tmp_path,
+                                                    monkeypatch):
+        import repro.sweep.runner as runner_mod
 
-    def test_meta_mismatch_rejected(self, tmp_path):
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep"
+        plan = make_explorer().plan(["reduce"])
         make_explorer().run(["reduce"], checkpoint=str(ck))
+        first = sorted(ResultStore(ck).digests())
+        real_run_cell = runner_mod._run_cell
+
+        def marked_run_cell(*args, **kwargs):
+            return dict(real_run_cell(*args, **kwargs), wall_seconds=-1.0)
+
+        monkeypatch.setattr(runner_mod, "_run_cell", marked_run_cell)
+        make_explorer().run(["reduce"], checkpoint=str(ck))
+        store = ResultStore(ck)
+        assert sorted(store.digests()) == first  # rewritten, not grown
+        # every cell re-simulated and its record overwritten
+        assert all(store.get(content_digest(c.fingerprint(), plan.meta()))
+                   ["record"]["wall_seconds"] == -1.0 for c in plan.cells)
+
+    def test_meta_mismatch_rejected(self, tmp_path, monkeypatch):
+        """Another scale's records share the directory but never answer:
+        the plan globals are folded into every digest."""
+        import repro.sweep.runner as runner_mod
+
+        ck = tmp_path / "sweep"
+        first = make_explorer().run(["reduce"], checkpoint=str(ck))
+        recomputed = []
+        real_run_cell = runner_mod._run_cell
+
+        def counting_run_cell(plan, cell, *args, **kwargs):
+            recomputed.append(cell.key())
+            return real_run_cell(plan, cell, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "_run_cell", counting_run_cell)
         other = DesignSpaceExplorer(128, quadratic_tasks=16, seed=0)
-        with pytest.raises(ConfigError, match="different sweep"):
-            other.run(["reduce"], checkpoint=str(ck), resume=True)
+        table = other.run(["reduce"], checkpoint=str(ck), resume=True)
+        assert len(recomputed) == len(table.records)  # all misses
+        assert len(ResultStore(ck)) == \
+            len(first.records) + len(table.records)
 
     def test_non_checkpoint_file_rejected(self, tmp_path):
         ck = tmp_path / "bogus.jsonl"
         ck.write_text("not json at all\n")
-        store = SweepCheckpoint(ck, {"endpoints": 1})
-        with pytest.raises(ConfigError, match="bad header"):
-            store.load()
+        with pytest.raises(ConfigError, match="not a directory") as exc:
+            ResultStore(ck)
+        assert str(ck) in str(exc.value)
+        plan = make_explorer().plan(["reduce"])
+        with pytest.raises(ConfigError, match="not a directory"):
+            run_sweep(plan, checkpoint=str(ck), resume=True)
 
     def test_missing_file_loads_empty(self, tmp_path):
-        store = SweepCheckpoint(tmp_path / "absent.jsonl", {"e": 1})
-        assert store.load() == {}
+        store = ResultStore(tmp_path / "absent")
+        assert len(store) == 0 and store.failures() == {}
 
 
 class TestRunnerGuards:
@@ -157,11 +197,9 @@ class TestGroupCells:
 
 
 class TestResultsOut:
-    """results_out hands back the raw checkpoint-shaped documents."""
+    """results_out hands back the raw cell documents the store keeps."""
 
     def test_collects_raw_docs_for_every_cell(self):
-        from repro.sweep.checkpoint import RESULT_FIELDS
-
         plan = make_explorer().plan(["reduce"])
         docs: dict[str, dict] = {}
         records = run_sweep(plan, results_out=docs)
@@ -173,7 +211,7 @@ class TestResultsOut:
 
     def test_includes_resumed_cells(self, tmp_path):
         plan = make_explorer().plan(["reduce"])
-        ck = tmp_path / "ck.jsonl"
+        ck = tmp_path / "ck"
         run_sweep(plan, checkpoint=str(ck))
         docs: dict[str, dict] = {}
         run_sweep(plan, checkpoint=str(ck), resume=True, results_out=docs)

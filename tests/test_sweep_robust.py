@@ -18,7 +18,9 @@ import pytest
 import repro.sweep.runner as runner_mod
 from repro.core import DesignSpaceExplorer
 from repro.errors import SimulationError
-from repro.sweep import SweepCheckpoint, run_sweep
+from repro.service.store import (RESULT_SCHEMA_VERSION, ResultStore,
+                                 ResultStoreWarning, content_digest)
+from repro.sweep import run_sweep
 
 ENDPOINTS = 64
 #: Small design space (4 hybrids + 2 baselines) to keep these sweeps quick.
@@ -41,8 +43,7 @@ def fingerprint(table):
 
 
 def checkpoint_errors(path) -> list[dict]:
-    return [doc for doc in map(json.loads, path.read_text().splitlines()[1:])
-            if "error" in doc]
+    return list(ResultStore(path).failures().values())
 
 
 class TestDegradedSweeps:
@@ -67,13 +68,13 @@ class TestDegradedSweeps:
         assert all("faults(2,0,s0)" in k for k in degraded_keys)
 
     def test_degraded_resume_ignores_healthy_records(self, tmp_path):
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep"
         make_explorer().run(["reduce"], checkpoint=str(ck))
-        healthy_lines = len(ck.read_text().splitlines())
+        healthy_lines = len(ResultStore(ck))
         table = make_explorer().run(["reduce"], checkpoint=str(ck),
                                     resume=True, fail_links=2, fail_seed=1)
-        # every degraded cell ran (appended), none satisfied by healthy rows
-        assert len(ck.read_text().splitlines()) == \
+        # every degraded cell ran (stored), none satisfied by healthy rows
+        assert len(ResultStore(ck)) == \
             healthy_lines + len(table.records)
         assert all(r.faults for r in table.records)
 
@@ -94,7 +95,7 @@ class TestKeepGoing:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cell_failure_becomes_typed_error_record(self, tmp_path,
                                                      poisoned, jobs):
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep"
         table = make_explorer().run(["reduce"], jobs=jobs,
                                     checkpoint=str(ck), keep_going=True)
         assert all(r.family != "torus" for r in table.records)
@@ -111,7 +112,7 @@ class TestKeepGoing:
 
     def test_resume_retries_previously_failed_cells(self, tmp_path,
                                                     monkeypatch):
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep"
         real = runner_mod._run_cell
 
         def failing(plan, cell, *args, **kwargs):
@@ -127,6 +128,19 @@ class TestKeepGoing:
                                    resume=True)
         assert len(full.records) == len(partial.records) + 1
         assert any(r.family == "torus" for r in full.records)
+
+    def test_later_success_clears_failure_entry(self, tmp_path, poisoned,
+                                                monkeypatch):
+        ck = tmp_path / "sweep"
+        messages: list[str] = []
+        make_explorer().run(["reduce"], checkpoint=str(ck), keep_going=True)
+        assert len(checkpoint_errors(ck)) == 1
+        monkeypatch.undo()  # the torus cell succeeds from here on
+        explorer = make_explorer(progress=True)
+        explorer._log = messages.append
+        explorer.run(["reduce"], checkpoint=str(ck), resume=True)
+        assert any("retrying 1 cell(s)" in m for m in messages)
+        assert checkpoint_errors(ck) == []
 
 
 @needs_fork
@@ -162,7 +176,7 @@ class TestWorkerDeath:
         monkeypatch.setitem(runner_mod.__dict__, "_real_run_cell",
                             runner_mod._run_cell)
         monkeypatch.setattr(runner_mod, "_run_cell", always_kill)
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep"
         table = make_explorer().run(["reduce"], jobs=2, checkpoint=str(ck),
                                     keep_going=True)
         assert all(r.family != "fattree" for r in table.records)
@@ -179,7 +193,7 @@ class TestWorkerDeath:
             return real(plan, cell, *args, **kwargs)
 
         monkeypatch.setattr(runner_mod, "_run_cell", stuck)
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep"
         t0 = time.monotonic()
         table = make_explorer().run(["reduce"], jobs=2, checkpoint=str(ck),
                                     keep_going=True, cell_timeout=2.0)
@@ -201,7 +215,7 @@ class TestSerialTimeout:
             return doc
 
         monkeypatch.setattr(runner_mod, "_run_cell", slow)
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep"
         table = make_explorer().run(["reduce"], checkpoint=str(ck),
                                     keep_going=True, cell_timeout=10.0)
         assert all(r.family != "torus" for r in table.records)
@@ -209,46 +223,68 @@ class TestSerialTimeout:
 
 
 class TestCheckpointHardening:
-    META = {"endpoints": ENDPOINTS, "fidelity": "approx", "seed": 0}
+    def plan(self):
+        return make_explorer().plan(["reduce"])
 
-    def write(self, path, body_lines):
-        header = json.dumps({"magic": "repro-sweep-v1", "meta": self.META})
-        path.write_text("\n".join([header, *body_lines]) + "\n")
+    def record_paths(self, ck, plan):
+        paths = []
+        for cell in plan.cells:
+            digest = content_digest(cell.fingerprint(), plan.meta())
+            paths.append(ck / digest[:2] / f"{digest}.json")
+        return paths
 
-    def good_record(self, key="reduce@all|torus"):
-        return {"key": key, "workload": "reduce", "topology": "torus",
-                "family": "torus", "t": None, "u": None, "faults": None,
-                "makespan": 1.0, "num_flows": 2, "events": 3,
-                "reallocations": 4, "wall_seconds": 0.1}
+    def count_runs(self, monkeypatch) -> list[str]:
+        ran: list[str] = []
+        real = runner_mod._run_cell
 
-    def test_mid_file_corruption_is_skipped_and_counted(self, tmp_path):
-        ck = tmp_path / "ck.jsonl"
-        self.write(ck, [
-            json.dumps(self.good_record("a")),
-            '{"key": "torn-mid-file", "makespa',       # torn mid-file
-            json.dumps({"key": "b", "workload": "reduce"}),  # schema-invalid
-            json.dumps({"no_key": True}),              # schema-invalid
-            json.dumps(self.good_record("c")),
-        ])
+        def counting(plan, cell, *args, **kwargs):
+            ran.append(cell.key())
+            return real(plan, cell, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "_run_cell", counting)
+        return ran
+
+    def test_mid_file_corruption_is_skipped_and_counted(self, tmp_path,
+                                                        monkeypatch):
+        ck = tmp_path / "ck"
+        plan = self.plan()
+        run_sweep(plan, checkpoint=str(ck))
+        paths = self.record_paths(ck, plan)
+        doc = json.loads(paths[1].read_text())
+        paths[1].write_text(paths[1].read_text()[:40])       # torn
+        paths[2].write_text(json.dumps(dict(doc, record={"key": "b"})))
+        paths[3].write_text(json.dumps({"no_schema": True}))  # foreign
+        ran = self.count_runs(monkeypatch)
         messages = []
-        store = SweepCheckpoint(ck, self.META)
-        records = store.load(log=messages.append)
-        assert set(records) == {"a", "c"}
-        assert len(messages) == 1 and "skipped 3" in messages[0]
+        with pytest.warns(ResultStoreWarning):
+            run_sweep(plan, checkpoint=str(ck), resume=True,
+                      log=messages.append)
+        # the three damaged records read as misses and were re-run
+        assert sorted(ran) == sorted(c.key() for c in plan.cells[1:4])
+        assert sum("removed 3 unreadable" in m for m in messages) == 1
+        assert all(json.loads(p.read_text())["schema"]
+                   == RESULT_SCHEMA_VERSION for p in paths)
 
     def test_error_records_load_as_schema_valid(self, tmp_path):
-        ck = tmp_path / "ck.jsonl"
+        ck = tmp_path / "ck"
         err = {"key": "e", "workload": "reduce", "topology": "torus",
                "faults": None,
                "error": {"type": "CellTimeout", "message": "too slow"}}
-        self.write(ck, [json.dumps(err)])
-        store = SweepCheckpoint(ck, self.META)
-        assert store.load() == {"e": err}
+        store = ResultStore(ck)
+        store.put_failure("d" * 64, err)
+        assert ResultStore(ck).failures() == {"d" * 64: err}
+        assert len(store) == 0  # a failure is never a stored result
 
-    def test_silent_without_log_sink(self, tmp_path):
-        ck = tmp_path / "ck.jsonl"
-        self.write(ck, ["garbage"])
-        assert SweepCheckpoint(ck, self.META).load() == {}
+    def test_silent_without_log_sink(self, tmp_path, monkeypatch):
+        ck = tmp_path / "ck"
+        plan = self.plan()
+        run_sweep(plan, checkpoint=str(ck))
+        self.record_paths(ck, plan)[0].write_text("garbage")
+        ran = self.count_runs(monkeypatch)
+        with pytest.warns(ResultStoreWarning):
+            records = run_sweep(plan, checkpoint=str(ck), resume=True)
+        assert ran == [plan.cells[0].key()]
+        assert len(records) == len(plan.cells)
 
 
 class TestRunnerGuards:
