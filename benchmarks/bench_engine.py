@@ -13,9 +13,9 @@ The route cache is warmed by an untimed approx-fidelity run first, so
 neither allocator pays route-construction cost inside the timed region —
 the comparison isolates pure allocation work.  The headline run
 (``REPRO_BENCH_ENDPOINTS=4096``) must show >= 2x on the allreduce and
-unstructuredhr cells; the permutation cell showcases the warm path
-(chained identical-route releases) where nearly every allocation is an
-O(changed) fill.
+unstructuredhr cells.  The permutation cell chains identical-route
+releases (``repetitions=8``); every allocation there admits flows, so it
+full-passes.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ def test_engine_allocator_speedup(benchmark):
     route_cache: dict = {}
     workloads = {}
     for name in _WORKLOADS:
-        # repeated permutations chain identical-route releases — the warm
-        # path's steady state; the other cells use their paper defaults
+        # repeated permutations chain identical-route releases; the
+        # other cells use their paper defaults
         kwargs = {"repetitions": 8} if name == "permutation" else {}
         workloads[name] = build_workload(name, BENCH_ENDPOINTS, seed=0,
                                          **kwargs).build()
@@ -139,9 +139,6 @@ def test_engine_allocator_speedup(benchmark):
             "full_passes": inc.allocator_stats["full_passes"],
             "warm_fills": inc.allocator_stats["warm_fills"],
         }
-
-    # chained identical-route releases are the warm path's home turf
-    assert cells["permutation"]["warm_fills"] > 0
 
     if BENCH_ENDPOINTS >= _HEADLINE_ENDPOINTS:
         for name in _HEADLINE_CELLS:
@@ -217,8 +214,8 @@ def test_engine_exact_batch(benchmark, monkeypatch):
             "relevel_fills": on.allocator_stats["relevel_fills"],
         }
 
-    # independent completions (no chained identical-route release to
-    # warm-fill from) are the relevel path's home turf
+    # independent completions, which release nothing, are the relevel
+    # path's home turf
     assert cells["unstructuredhr"]["relevel_fills"] > 0
 
     if BENCH_ENDPOINTS >= _HEADLINE_ENDPOINTS:

@@ -9,7 +9,7 @@ link-load view.
 
 from repro.engine.active import ActiveSet
 from repro.engine.flows import FlowBuilder, FlowSet
-from repro.engine.maxmin import allocate, bottleneck_lower_bound
+from repro.engine.maxmin import bottleneck_lower_bound
 from repro.engine.results import LinkLoadReport, SimulationResult
 from repro.engine.simulator import simulate
 from repro.engine.static import analyze
@@ -21,7 +21,6 @@ __all__ = [
     "FlowSet",
     "LinkLoadReport",
     "SimulationResult",
-    "allocate",
     "analyze",
     "bottleneck_lower_bound",
     "per_task_stats",

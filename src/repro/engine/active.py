@@ -1,7 +1,7 @@
 """Persistent active-flow set with incremental max-min allocation.
 
-:func:`repro.engine.maxmin.allocate` is the *reference* allocator: it is
-handed a freshly concatenated CSR of every active route and recomputes
+The reference allocator (``tests/oracle.py``'s ``allocate``) is handed a
+freshly concatenated CSR of every active route and recomputes
 progressive filling from zero state.  That is robust but makes every
 event cost O(total active route length · log) even when a single flow
 finished — the dominant cost of the ``"exact"`` fidelity.
@@ -15,7 +15,8 @@ finished — the dominant cost of the ``"exact"`` fidelity.
 * **Pooled entries buffer** — each flow's route is copied once into a
   shared link-id pool on admission and reused by every later allocation;
   dead segments are reclaimed by occasional O(live) compaction, so there
-  is no per-event ``np.concatenate`` over a Python list.
+  is no per-event ``np.concatenate`` over a Python list.  The set keeps
+  link ids only, never the caller's route arrays.
 * **Persistent link→flows CSR** — progressive filling freezes flows
   through a CSR that lives *across* events: small membership batches
   patch it in place (removals tombstone their entries, admissions append
@@ -34,43 +35,28 @@ finished — the dominant cost of the ``"exact"`` fidelity.
   element-for-element the reference's, so the resulting rates are
   identical (bitwise for unweighted flows and integer weights, to float
   tolerance for other weighted ones).
-* **Warm-started fills** — a full pass records the water level at which
-  every link saturated.  When the multiset of active routes is unchanged
-  since the previous allocation (each finished flow was replaced by a
-  release with an *identical* route — the steady state of chained
-  workloads such as permutations and the unstructured streams), the
-  max-min solution is unchanged too: continuing flows keep their rates
-  and each new flow's rate is the minimum recorded level along its
-  route.  The whole "allocation" is then O(changed routes).  Route
-  identity is tracked by object (the simulator's route cache interns one
-  array per ``(src, dst)`` pair), and pending references are pinned so
-  ids cannot be recycled mid-flight.
-* **Suffix-resumed relevels** — the warm machinery extended to
-  *near-identical* states: unweighted churn whose admissions were all
-  matched by removals with identical routes, plus any number of net
-  removals (the exact-fidelity completion batch: finished flows leave,
-  chained releases reuse their predecessors' routes).  Removing flows
-  only raises water levels, and it provably cannot change any fill
-  iteration strictly below ``tmin`` — the lowest recorded level on any
-  link of a net-removed route — so the fill's recorded per-iteration
-  increments (the kernel saves them alongside the levels) are
-  *replayed* over the links of the flows rated at or above ``tmin``
-  (:func:`~repro.engine.kernels.numpy_fill.replay`, the same routine
-  that brings deferred links up to date inside a fill) and the same
-  water-level loop resumes at ``tmin`` with only those flows taking
-  part.  Rates, levels and the spliced sequences are bitwise those of a
-  full pass, so consecutive completion batches keep resuming one
-  another.  Any violated precondition (weighted set, net
-  admissions, stale CSR, non-increasing recorded levels, replay work
-  rivalling a full pass) falls back to the full pass.  Setting
-  :attr:`ActiveSet.RELEVEL` to ``False`` (on the class or one instance)
-  disables the path; tests and the engine bench use it as the full-pass
-  oracle.
+* **Suffix-resumed relevels** — a fill records the water level at which
+  every link saturated and its per-iteration increments.  When flows
+  were only *removed* since the last allocation (the exact-fidelity
+  completion batch with no release), water levels can only rise, and
+  no fill iteration strictly below ``tmin`` — the lowest recorded level
+  on any link of a removed flow, read from its pooled entries, which
+  stay in place until the next admission — can change.  So the recorded
+  increments are *replayed* over the links of the flows rated at or
+  above ``tmin`` (:func:`~repro.engine.kernels.numpy_fill.replay`, the
+  same routine that brings deferred links up to date inside a fill) and
+  the same water-level loop resumes at ``tmin`` with only those flows
+  taking part.  Rates, levels and the spliced sequences are bitwise
+  those of a full pass, so consecutive completion batches keep resuming
+  one another.  Any admission since the last allocation, or any
+  violated precondition (weighted set, stale CSR, non-increasing
+  recorded levels, replay work rivalling a full pass), takes the full
+  pass.  Setting :attr:`ActiveSet.RELEVEL` to ``False`` (on the class or
+  one instance) disables the path; tests use it as the full-pass oracle.
 
-The warm and relevel paths are exact, not approximate: they reproduce
-the float values a full pass would produce, so ``"exact"``-fidelity
-makespans are unchanged.  Weighted flow sets always take the full pass
-(a matched route does not imply a matched weight).
+The relevel is exact, not approximate: it reproduces the float values a
+full pass would produce, so ``"exact"``-fidelity makespans are
+unchanged.  Weighted flow sets always take the full pass.
 """
 
 from __future__ import annotations
@@ -129,12 +115,10 @@ class ActiveSet:
         self._weights = np.ones(_MIN_SLOTS, dtype=np.float64)
         self._starts = np.zeros(_MIN_SLOTS, dtype=np.int64)
         self._lens = np.zeros(_MIN_SLOTS, dtype=np.int64)
-        self._route_key = np.zeros(_MIN_SLOTS, dtype=np.int64)
         self._slot_flag = np.zeros(_MIN_SLOTS, dtype=bool)
         # iteration each flow froze in during the current fill (-1 = not
         # in this fill), fill-kernel scratch
         self._freeze_iter = np.zeros(_MIN_SLOTS, dtype=np.int64)
-        self._routes: list[np.ndarray | None] = [None] * _MIN_SLOTS
         # flow id -> slot (-1 = inactive); grown to the largest id seen,
         # so batch membership updates are single vectorised gathers
         self._slot_arr = np.full(_MIN_SLOTS, -1, dtype=np.int64)
@@ -175,14 +159,13 @@ class ActiveSet:
         # enough that patching can keep the structure alive
         self._churn_units = 0
 
-        # warm-start state: water level at which each link saturated in
-        # the last full pass (+inf = never), and the links that were set
-        # (the mask mirrors _level_links for O(batch) membership tests)
+        # relevel state: water level at which each link saturated in the
+        # last fill (+inf = never), and the links that were set (the mask
+        # mirrors _level_links for O(batch) membership tests)
         self._levels = np.full(num_links, np.inf, dtype=np.float64)
         self._level_links = np.empty(0, dtype=np.int64)
         self._level_mask = np.zeros(num_links, dtype=bool)
         self._level_buf = np.empty(0, dtype=np.int64)
-        self._have_levels = False
 
         # recorded per-iteration water-level increments and cumulative
         # levels of the last fill (full pass, or spliced by a relevel);
@@ -194,19 +177,16 @@ class ActiveSet:
         self._seq_buf_d = np.empty(0, dtype=np.float64)
         self._seq_buf_l = np.empty(0, dtype=np.float64)
 
-        # membership churn since the last allocation, as append-only key
-        # lists compared as sorted arrays at allocation time (cheaper
-        # than per-key dict upkeep when batches have all-distinct
-        # routes).  Removed routes are kept (key-aligned) until the next
-        # allocation — they pin the interned arrays so ids cannot be
-        # recycled mid-flight, and the relevel path reads the net-removed
-        # ones; added routes are pinned by the slot table itself.
-        self._added_keys: list[int] = []
-        self._removed_keys: list[int] = []
-        self._removed_routes: list[np.ndarray] = []
-        self._pending_new: list[int] = []
+        # membership churn since the last allocation: whether any flow
+        # was admitted, and the pool segments of the removed flows (the
+        # relevel's dirty links; only an admission can move the pool)
+        self._admitted = False
+        self._gone_starts: list[int] = []
+        self._gone_lens: list[int] = []
 
         #: Allocation counters (read by benchmarks and tests).
+        #: ``warm_fills`` is always 0; it stays for the readers of
+        #: ``allocator_stats``.
         self.full_passes = 0
         self.warm_fills = 0
         self.relevel_fills = 0
@@ -236,9 +216,14 @@ class ActiveSet:
         """Per-flow bandwidth weights aligned with :attr:`flow_ids`."""
         return self._weights[:self._m]
 
-    def route_list(self) -> list[np.ndarray]:
-        """Active routes in slot order (for the metrics collector)."""
-        return self._routes[:self._m]  # type: ignore[return-value]
+    def route_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every active route's link ids, gathered from the pool and
+        concatenated in slot order, and the per-flow route lengths
+        (a view, invalidated by add/remove)."""
+        m = self._m
+        starts = self._starts[:m]
+        lens = self._lens[:m]
+        return self._entries[_slices_concat(starts, starts + lens)], lens
 
     # ----------------------------------------------------------- membership
     def add(self, fid: int, route: np.ndarray, *, rate: float = 0.0,
@@ -272,8 +257,6 @@ class ActiveSet:
         self._weights[slot] = weight
         self._starts[slot] = start
         self._lens[slot] = length
-        self._route_key[slot] = id(route)
-        self._routes[slot] = route
         self._slot_arr[fid] = slot
         self._m = slot + 1
         self._churn_units += 1
@@ -281,8 +264,7 @@ class ActiveSet:
             self.occupancy[route] += 1  # routes are simple paths
         if self._csr_ok:
             self._csr_patch_add(fid, route, start, length)
-        self._added_keys.append(id(route))
-        self._pending_new.append(fid)
+        self._admitted = True
 
     def add_many(self, fids: np.ndarray, routes: list[np.ndarray], *,
                  weights: np.ndarray | None = None,
@@ -333,9 +315,6 @@ class ActiveSet:
         self._weights[sl] = 1.0 if weights is None else weights
         self._starts[sl] = starts
         self._lens[sl] = lens
-        keys = np.fromiter((id(r) for r in routes), count=k, dtype=np.int64)
-        self._route_key[sl] = keys
-        self._routes[m:m + k] = routes
         self._slot_arr[fids] = np.arange(m, m + k, dtype=np.int64)
         self._m = m + k
         self._churn_units += k
@@ -351,8 +330,7 @@ class ActiveSet:
                                         int(starts[i]), int(lens[i]))
                     if not self._csr_ok:
                         break
-        self._added_keys.extend(keys.tolist())
-        self._pending_new.extend(fids.tolist())
+        self._admitted = True
 
     def remove(self, fid: int) -> float:
         """Retire flow ``fid`` and return its last allocated rate (O(1)
@@ -362,17 +340,16 @@ class ActiveSet:
         slot = int(self._slot_arr[fid])
         self._slot_arr[fid] = -1
         rate = float(self._rates[slot])
-        route = self._routes[slot]
-        assert route is not None
-        self._live_nnz -= int(self._lens[slot])
-        self._removed_keys.append(id(route))
-        self._removed_routes.append(route)
+        s = int(self._starts[slot])
+        e = s + int(self._lens[slot])
+        route = self._entries[s:e]
+        self._live_nnz -= e - s
+        self._gone_starts.append(s)
+        self._gone_lens.append(e - s)
         self._churn_units += 1
         if self.occupancy is not None:
             self.occupancy[route] -= 1
         if self._csr_ok:
-            s = int(self._starts[slot])
-            e = s + int(self._lens[slot])
             self._csr_flows[self._pos_in_csr[s:e]] = -1
             self._csr_dead += e - s
             self._counts_base[route] -= 1.0
@@ -383,11 +360,8 @@ class ActiveSet:
             self._weights[slot] = self._weights[last]
             self._starts[slot] = self._starts[last]
             self._lens[slot] = self._lens[last]
-            self._route_key[slot] = self._route_key[last]
-            self._routes[slot] = self._routes[last]
             self._slot_arr[int(self._flow_ids[slot])] = slot
         self._flow_ids[last] = -1
-        self._routes[last] = None
         self._m = last
         return rate
 
@@ -412,28 +386,24 @@ class ActiveSet:
         if (slots < 0).any() or np.unique(slots).shape[0] != k:
             raise SimulationError("batch removal names an inactive flow")
 
-        routes = self._routes
-        self._removed_keys.extend(self._route_key[slots].tolist())
-        # key-aligned route references: they pin the removed arrays until
-        # the next allocation and feed the relevel path's dirty-link set
-        self._removed_routes.extend([routes[s] for s in slots.tolist()])
-
+        starts = self._starts[slots]
+        lens = self._lens[slots]
+        self._gone_starts.extend(starts.tolist())
+        self._gone_lens.extend(lens.tolist())
         self._churn_units += k
-        if self.occupancy is not None:
-            gone = self._entries[_slices_concat(
-                self._starts[slots], self._starts[slots] + self._lens[slots])]
-            np.subtract.at(self.occupancy, gone, 1)
-        if self._csr_ok:
-            if k > max(_PATCH_MAX, self._m >> 3):
-                self._csr_ok = False
-            else:
-                idxp = _slices_concat(self._starts[slots],
-                                      self._starts[slots] + self._lens[slots])
+        patch = self._csr_ok and k <= max(_PATCH_MAX, self._m >> 3)
+        self._csr_ok = patch
+        if patch or self.occupancy is not None:
+            idxp = _slices_concat(starts, starts + lens)
+            gone = self._entries[idxp]
+            if self.occupancy is not None:
+                np.subtract.at(self.occupancy, gone, 1)
+            if patch:
                 self._csr_flows[self._pos_in_csr[idxp]] = -1
                 self._csr_dead += idxp.shape[0]
-                np.subtract.at(self._counts_base, self._entries[idxp], 1.0)
+                np.subtract.at(self._counts_base, gone, 1.0)
 
-        self._live_nnz -= int(self._lens[slots].sum())
+        self._live_nnz -= int(lens.sum())
         m = self._m
         new_m = m - k
         removed = self._slot_flag  # borrowed scratch, reset below
@@ -442,16 +412,13 @@ class ActiveSet:
         if low.shape[0]:
             src = new_m + np.flatnonzero(~removed[new_m:m])
             for name in ("_flow_ids", "_rates", "_weights", "_starts",
-                         "_lens", "_route_key"):
+                         "_lens"):
                 arr = getattr(self, name)
                 arr[low] = arr[src]
-            for i, j in zip(low.tolist(), src.tolist()):
-                routes[i] = routes[j]
             self._slot_arr[self._flow_ids[low]] = low
         removed[slots] = False
         self._slot_arr[fids] = -1
         self._flow_ids[new_m:m] = -1
-        self._routes[new_m:m] = [None] * k
         self._m = new_m
 
     def _csr_patch_add(self, fid: int, route: np.ndarray, start: int,
@@ -472,45 +439,10 @@ class ActiveSet:
         self._csr_len[route] = cl + 1
         self._counts_base[route] += 1.0
 
-    def _net_removed_routes(self) -> list[np.ndarray] | None:
-        """The distinct routes removed more often than added since the
-        last allocation, or ``None`` when any route was *net added*.
-
-        ``[]`` therefore means the added and removed keys form the same
-        multiset (the plain warm path's eligibility); a non-empty list is
-        the relevel path's input — the only routes whose links' occupancy
-        shrank.  Multiplicity beyond one does not matter downstream (only
-        the union of dirty links is used), so distinct routes suffice.
-        """
-        added = self._added_keys
-        removed = self._removed_keys
-        if len(added) > len(removed):
-            return None
-        if not removed:
-            return []
-        ra, rc = np.unique(np.asarray(removed, dtype=np.int64),
-                           return_counts=True)
-        if added:
-            aa, ac = np.unique(np.asarray(added, dtype=np.int64),
-                               return_counts=True)
-            pos = np.searchsorted(ra, aa)
-            if bool((pos >= ra.shape[0]).any()) \
-                    or not bool((ra[pos] == aa).all()) \
-                    or bool((ac > rc[pos]).any()):
-                return None
-            rc = rc.copy()
-            rc[pos] -= ac
-        net_keys = ra[rc > 0]
-        if net_keys.shape[0] == 0:
-            return []
-        by_key = dict(zip(self._removed_keys, self._removed_routes))
-        return [by_key[key] for key in net_keys.tolist()]
-
     def _clear_churn(self) -> None:
-        self._added_keys.clear()
-        self._removed_keys.clear()
-        self._removed_routes.clear()
-        self._pending_new.clear()
+        self._admitted = False
+        self._gone_starts.clear()
+        self._gone_lens.clear()
 
     def _ensure_slot_arr(self, fid: int) -> None:
         if fid < 0:
@@ -527,11 +459,11 @@ class ActiveSet:
     def allocate(self, stats: dict | None = None) -> np.ndarray:
         """Assign exact max-min rates to every active flow.
 
-        Takes the O(changed) warm path when the route multiset is
-        unchanged, the suffix-resumed relevel when it shrank (see module
-        docstring), and the CSR-backed full pass otherwise.  ``stats``,
-        when a dict, receives ``iterations`` (0 on the warm path),
-        ``warm`` and ``relevel``.  Returns the dense rates view.
+        Takes the suffix-resumed relevel when flows were only removed
+        since the last allocation (see module docstring), and the
+        CSR-backed full pass otherwise.  ``stats``, when a dict, receives
+        ``iterations``, ``warm`` and ``relevel`` (both ``True`` only on
+        the relevel).  Returns the dense rates view.
         """
         if self._m == 0:
             self._clear_churn()
@@ -539,29 +471,17 @@ class ActiveSet:
                 stats["iterations"] = 0
                 stats["warm"] = False
             return self._rates[:0]
-        if self._have_levels and not self._weighted:
-            net = self._net_removed_routes()
-            if net is not None:
-                if not net:
-                    if self._warm_fill():
-                        self.warm_fills += 1
-                        self._churn_units = 0
-                        self._clear_churn()
-                        if stats is not None:
-                            stats["iterations"] = 0
-                            stats["warm"] = True
-                        return self._rates[:self._m]
-                elif self.RELEVEL:
-                    iterations = self._relevel_fill(net)
-                    if iterations >= 0:
-                        self.relevel_fills += 1
-                        self._churn_units = 0
-                        self._clear_churn()
-                        if stats is not None:
-                            stats["iterations"] = iterations
-                            stats["warm"] = True
-                            stats["relevel"] = True
-                        return self._rates[:self._m]
+        if self.RELEVEL and self._gone_starts and not self._admitted:
+            iterations = self._relevel_fill()
+            if iterations >= 0:
+                self.relevel_fills += 1
+                self._churn_units = 0
+                self._clear_churn()
+                if stats is not None:
+                    stats["iterations"] = iterations
+                    stats["warm"] = True
+                    stats["relevel"] = True
+                return self._rates[:self._m]
         iterations = self._full_pass()
         self.full_passes += 1
         self._clear_churn()
@@ -570,37 +490,22 @@ class ActiveSet:
             stats["warm"] = False
         return self._rates[:self._m]
 
-    def _warm_fill(self) -> bool:
-        """Rate the flows added since the last allocation from the
-        recorded water levels; ``False`` falls back to a full pass.
+    def _relevel_fill(self) -> int:
+        """Resume the recorded fill above the removals' water threshold.
 
-        The segmented minimum reads the pooled route copies, which hold
-        the same link ids as the interned route arrays."""
-        if not self._pending_new:
-            return True
-        pending = np.asarray(self._pending_new, dtype=np.int64)
-        return bool(numpy_fill.warm_fill(
-            self._levels, self._entries, self._starts, self._lens,
-            self._slot_arr, pending, self._rates))
-
-    def _relevel_fill(self, net_routes: list[np.ndarray]) -> int:
-        """Resume the recorded fill above the churn's water threshold.
-
-        ``net_routes`` are the net-removed routes (see
-        :meth:`_net_removed_routes`; non-empty).  Returns the suffix
-        iteration count on success, ``-1`` to fall back to a full pass.
-        On success, rates, levels and the recorded sequences are exactly
-        what a full pass would have produced, so relevels compose across
-        consecutive events.
+        Returns the suffix iteration count on success, ``-1`` to fall
+        back to a full pass.  On success, rates, levels and the recorded
+        sequences are exactly what a full pass would have produced, so
+        relevels compose across consecutive events.
         """
         if not (self._csr_ok and self._seq_ok and self._caps_all_positive):
             return -1
-        k_seq = self._level_seq.shape[0]
-        if k_seq == 0:
-            return -1
         m = self._m
-        dirty = net_routes[0] if len(net_routes) == 1 \
-            else np.concatenate(net_routes)
+        # the removed flows' links, still in the pool: no admission (the
+        # only pool move between fills) happened since they left
+        gone = np.asarray(self._gone_starts, dtype=np.int64)
+        dirty = self._entries[_slices_concat(
+            gone, gone + np.asarray(self._gone_lens, dtype=np.int64))]
         # every removed flow was rated, so its bottleneck link holds a
         # finite recorded level: tmin is finite and positive
         tmin = float(self._levels[dirty].min())
@@ -608,29 +513,10 @@ class ActiveSet:
             return -1
         k = int(np.searchsorted(self._level_seq, tmin, side="left"))
         if k == 0:
-            # the threshold undercuts the first recorded level: the whole
-            # fill would replay, and a full pass is strictly cheaper
+            # the threshold undercuts the first recorded level (or none is
+            # recorded): the whole fill would replay, and a full pass is
+            # strictly cheaper
             return -1
-
-        # rate the pending admissions from the recorded levels: each was
-        # matched by a removal with the identical route, so the minimum
-        # recorded level along it is the retired twin's exact rate
-        # (+inf = bottlenecked only above the threshold; resolved below)
-        if self._pending_new:
-            slots = self._slot_arr[
-                np.asarray(self._pending_new, dtype=np.int64)]
-            slots = slots[slots >= 0]
-            if slots.shape[0]:
-                seg_starts = self._starts[slots]
-                seg_lens = self._lens[slots]
-                vals = self._levels[self._entries[_slices_concat(
-                    seg_starts, seg_starts + seg_lens)]]
-                offsets = np.zeros(slots.shape[0], dtype=np.int64)
-                np.cumsum(seg_lens[:-1], out=offsets[1:])
-                mins = np.minimum.reduceat(vals, offsets)
-                if bool((mins <= 0.0).any()):
-                    return -1
-                self._rates[slots] = mins
 
         # flows rated at or above the threshold are re-levelled; all
         # others froze strictly below it and keep their (final) rates
@@ -790,9 +676,9 @@ class ActiveSet:
     def _full_pass(self) -> int:
         """Progressive filling over the live incidence.
 
-        Mirrors the reference :func:`repro.engine.maxmin.allocate`
-        arithmetic per link, so rates agree with a from-scratch reference
-        run on the same flows.  The persistent link→flows CSR lets each
+        Mirrors the reference allocator's arithmetic per link (the
+        oracle in ``tests/oracle.py``), so rates agree with a from-scratch
+        reference run on the same flows.  The persistent link→flows CSR lets each
         saturated link freeze exactly its own flows, so total freeze work
         is amortised O(total route length) per pass — the water-level
         iteration count does not multiply it — and when the CSR survived
@@ -848,7 +734,6 @@ class ActiveSet:
         self._level_mask[self._level_links] = False
         self._level_links = self._level_buf[:nsat].copy()
         self._level_mask[self._level_links] = True
-        self._have_levels = not self._weighted
         if self._weighted:
             self._seq_ok = False
         else:
@@ -858,53 +743,21 @@ class ActiveSet:
                 (np.diff(self._level_seq) > 0.0).all())
         return iterations
 
-    # --------------------------------------------------- rebuild baseline
-    def gather_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rebuild-per-event CSR of the reference engine.
-
-        Deliberately reproduces the historical per-event cost (a Python
-        list of routes concatenated from scratch) so benchmarks can
-        compare the incremental path against the true baseline.
-        """
-        route_list = self.route_list()
-        if not route_list:
-            return (np.empty(0, dtype=np.int64),
-                    np.zeros(1, dtype=np.int64))
-        entries = np.concatenate(route_list)
-        ptr = np.zeros(len(route_list) + 1, dtype=np.int64)
-        np.cumsum([r.shape[0] for r in route_list], out=ptr[1:])
-        return entries, ptr
-
-    def set_rates(self, rates: np.ndarray) -> None:
-        """Install externally computed rates (slot order)."""
-        if rates.shape[0] != self._m:
-            raise SimulationError(
-                f"rates vector has {rates.shape[0]} entries for "
-                f"{self._m} active flows")
-        self._rates[:self._m] = rates
-        # external rates invalidate the recorded water levels
-        self._have_levels = False
-        self._seq_ok = False
-
     # ------------------------------------------------------------- plumbing
     def _grow_slots(self) -> None:
         new = max(_MIN_SLOTS, 2 * self._flow_ids.shape[0])
         for name in ("_flow_ids", "_rates", "_weights", "_starts", "_lens",
-                     "_route_key", "_slot_flag", "_freeze_iter"):
+                     "_slot_flag", "_freeze_iter"):
             old = getattr(self, name)
             arr = np.zeros(new, dtype=old.dtype)
             arr[:old.shape[0]] = old
             setattr(self, name, arr)
         self._flow_ids[self._m:] = -1
-        self._routes.extend([None] * (new - len(self._routes)))
 
     def _make_room(self, extra: int) -> None:
         """Compact the entries pool and/or grow it to fit ``extra``."""
         if self._tail - self._live_nnz > 0:
-            m = self._m
-            idx = _slices_concat(self._starts[:m],
-                                 self._starts[:m] + self._lens[:m])
-            self._compact(self._entries[idx])
+            self._compact(self.route_entries()[0])
         needed = self._tail + extra
         if needed > self._entries.shape[0]:
             size = max(_MIN_ENTRIES, self._entries.shape[0])

@@ -1,7 +1,7 @@
 """Fill kernels of the incremental allocator.
 
 The progressive-filling water-level loop (shared by full passes and
-suffix-resumed relevels), the residual replay and the warm fill are
+suffix-resumed relevels) and the residual replay are
 :class:`~repro.engine.active.ActiveSet`'s allocation hot spots.  They
 live in :mod:`repro.engine.kernels.numpy_fill` behind a narrow array
 contract (see that module), pure NumPy.

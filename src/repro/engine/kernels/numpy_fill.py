@@ -3,16 +3,15 @@
 These functions are the allocation hot spots of
 :class:`~repro.engine.active.ActiveSet`, kept behind a narrow array
 contract: flat arrays in, status codes out, so the loops stay free of
-``ActiveSet`` bookkeeping.  The tests pin the full pass and the warm
-fill to the reference :func:`repro.engine.maxmin.allocate`
-(``tests/test_active.py``) and the relevel to the full pass, bit for bit
-(``tests/test_exact_batch.py``).
+``ActiveSet`` bookkeeping.  The tests pin the full pass to the reference
+allocator kept in ``tests/oracle.py`` (``tests/test_active.py``) and the
+relevel to the full pass, bit for bit (``tests/test_exact_batch.py``).
 
 Contract
 --------
-``fill`` runs the progressive-filling water-level loop of
-:func:`repro.engine.maxmin.allocate` — the same float operations on the
-same values, so the same bits — over the caller-prepared link→flows
+``fill`` runs the progressive-filling water-level loop of the reference
+allocator — the same float operations on the same values, so the same
+bits — over the caller-prepared link→flows
 CSR.  The full pass and the relevel share it.  The caller has already:
 
 * rebuilt or patched the CSR (``csr_start``/``csr_len``/``csr_flows``,
@@ -101,13 +100,6 @@ and one that uses under a quarter of it halves it.
 the participant links at the resume point from the previous fill's
 recorded increments, their counts stepping down as the flows rated
 below the threshold froze.
-
-``warm_fill`` replays recorded water levels over the flows added since
-the last allocation (``pending`` flow ids; ids whose slot is ``-1`` were
-retired again before this allocation and are skipped).  It writes each
-flow's rate — the minimum recorded level along its pooled route — and
-returns ``False`` (caller falls back to a full pass) if any level is
-non-finite or non-positive.
 """
 
 from __future__ import annotations
@@ -552,30 +544,3 @@ def _round(win, slots, row, key_out, cr, cn, delta, level, it,
                                 mark, unclaimed, counts, key, capacities,
                                 margin, True)
     return level, it, nsat, fz.shape[0], dead, keep.shape[0]
-
-
-def warm_fill(levels: np.ndarray, entries: np.ndarray, starts: np.ndarray,
-              lens: np.ndarray, slot_arr: np.ndarray, pending: np.ndarray,
-              rates: np.ndarray) -> bool:
-    """Rate the pending flows from recorded per-link water levels.
-
-    Vectorised over all pending flows at once (one gather plus a
-    segmented minimum); a segment minimum is an exact operation, so the
-    written rates are bitwise those of a per-flow ``levels[route].min()``
-    loop.
-    """
-    slots = slot_arr[pending]
-    slots = slots[slots >= 0]  # added and already retired (zero-length life)
-    if slots.shape[0] == 0:
-        return True
-    seg_starts = starts[slots]
-    seg_lens = lens[slots]
-    vals = levels[entries[_slices_concat(seg_starts,
-                                         seg_starts + seg_lens)]]
-    offsets = np.zeros(slots.shape[0], dtype=np.int64)
-    np.cumsum(seg_lens[:-1], out=offsets[1:])
-    mins = np.minimum.reduceat(vals, offsets)
-    if not np.isfinite(mins).all() or bool((mins <= 0.0).any()):
-        return False
-    rates[slots] = mins
-    return True

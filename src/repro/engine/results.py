@@ -30,8 +30,9 @@ class SimulationResult:
     metrics: dict | None = None
     #: Which bandwidth allocator ran and how its work split
     #: (``{"allocator", "full_passes", "warm_fills", "relevel_fills",
-    #: "fill_rounds"}``; ``fill_rounds`` counts the rounds of the
-    #: water-level loop, each resolving one or more of its iterations);
+    #: "fill_rounds"}``; ``warm_fills`` is always 0, ``fill_rounds``
+    #: counts the rounds of the water-level loop, each resolving one or
+    #: more of its iterations);
     #: ``None`` for a run that never allocated (empty flow set).
     allocator_stats: dict | None = None
     #: Transient-fault recovery counters (``fault_events``,

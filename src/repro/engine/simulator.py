@@ -24,9 +24,9 @@ count low for the highly symmetric collectives the paper uses.
 Bandwidth allocations run through a persistent
 :class:`~repro.engine.active.ActiveSet` that maintains the flow→link
 incidence across events (O(changed routes) membership updates, pooled CSR
-buffers, warm-started progressive filling).  Its rates are those of the
-from-scratch reference :func:`repro.engine.maxmin.allocate` (the
-incremental allocator is exact, see ``docs/simulation-model.md``).
+buffers, progressive filling resumed after pure removals).  Its rates are
+those of the from-scratch reference allocator kept in ``tests/oracle.py``
+(the incremental allocator is exact, see ``docs/simulation-model.md``).
 
 A :class:`~repro.topology.timeline.FaultTimeline` adds a second event
 source to the same loop: fault epochs.  When the next epoch boundary lands
@@ -566,10 +566,9 @@ def simulate(topology: Topology, flows: FlowSet, *,
         # re-added after *all* removals in ascending-id order
         cut: list[int] = []
         if view is not topology and active.size:
-            mask = view.disabled_link_mask()
-            cut = sorted(f for f, route in zip(active.flow_ids.tolist(),
-                                               active.route_list())
-                         if mask[route].any())
+            entries, lens = active.route_entries()
+            cut = np.unique(np.repeat(active.flow_ids, lens)[
+                view.disabled_link_mask()[entries]]).tolist()
         if cut:
             active.remove_many(np.asarray(cut, dtype=np.int64))
         batch: list[tuple[int, np.ndarray]] = []
@@ -675,7 +674,8 @@ def simulate(topology: Topology, flows: FlowSet, *,
             # they fall out of the next iteration with dt == 0.
             dt_fault = next_change - now
             if collector is not None:
-                collector.account_event(active.route_list(), rates, dt_fault)
+                collector.account_event(*active.route_entries(), rates,
+                                        dt_fault)
             remaining[ids] -= rates * dt_fault
             now = next_change
             apply_epoch(now)
@@ -690,7 +690,7 @@ def simulate(topology: Topology, flows: FlowSet, *,
         # one event each instead of batching)
         done_mask = deadlines <= dt + max(dt, 1.0) * _TIE_EPS
         if collector is not None:
-            collector.account_event(active.route_list(), rates, dt)
+            collector.account_event(*active.route_entries(), rates, dt)
         now += dt
         remaining[ids] -= rates * dt
 

@@ -17,7 +17,8 @@ What the engine feeds the collector:
 * per-allocation **batch size**, **progressive-filling iterations** and
   the trigger (``forced`` for exact mode's per-event reallocation,
   ``churn``/``initial`` for approx mode's bounded-churn policy, ``warm``
-  for the incremental allocator's O(changed) warm-started fills);
+  for the incremental allocator's relevels, which resume the previous
+  fill after pure removals);
 * **span timers** around route construction, bandwidth allocation, and
   the whole event loop.
 
@@ -99,17 +100,15 @@ class MetricsCollector:
         else:
             self.zero_hop_flows += 1
 
-    def account_event(self, route_list: list[np.ndarray],
+    def account_event(self, entries: np.ndarray, lens: np.ndarray,
                       rates: np.ndarray, dt: float) -> None:
         """One event-loop step: every active flow moved ``rate * dt`` bits
         over every link of its route, and each touched link was busy for
-        ``dt`` seconds."""
+        ``dt`` seconds.  ``entries`` holds the flows' routes concatenated
+        (flow ``i`` owns ``lens[i]`` link ids), aligned with ``rates``."""
         self.events += 1
-        if dt <= 0.0 or not route_list:
+        if dt <= 0.0 or not lens.shape[0]:
             return
-        lens = np.fromiter((r.shape[0] for r in route_list),
-                           dtype=np.int64, count=len(route_list))
-        entries = np.concatenate(route_list)
         # bincount beats np.add.at by a wide margin on repeated indices;
         # allocated rates are strictly positive, so the non-zero pattern
         # of the moved bits doubles as the busy-link mask

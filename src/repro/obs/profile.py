@@ -56,7 +56,7 @@ def timing_table(snapshot: dict) -> str:
     mean_batch = (alloc["batch_flows_total"] / alloc["allocations"]
                   if alloc["allocations"] else 0.0)
     warm = alloc.get("warm_reallocations", 0)
-    warm_note = f", {warm} warm-filled" if warm else ""
+    warm_note = f", {warm} relevelled" if warm else ""
     lines.append(
         f"Allocator: {alloc['allocations']} allocations "
         f"({alloc['forced_reallocations']} forced, "

@@ -10,8 +10,7 @@ the one route a flow actually takes:
   Section 4.2 rules).
 * ``"ecmp"`` — a per-flow deterministic hash spreads flows uniformly over
   the candidates.  Stateless and oblivious: the same flow always takes the
-  same route, so results stay reproducible and the allocator's warm path
-  still sees interned route arrays.
+  same route, so results stay reproducible.
 * ``"adaptive"`` — congestion-aware minimal-adaptive selection: the
   candidate whose most-occupied link (by live flow count, maintained by the
   engine's :class:`~repro.engine.active.ActiveSet`) is least occupied wins.

@@ -69,8 +69,10 @@ from repro.topology.degraded import DegradedTopology, FaultSet
 #: Seconds between liveness/timeout checks while waiting on worker results.
 _POLL_SECONDS = 0.25
 
-#: Replacement workers the parent may spawn per run after crashes.
-DEFAULT_MAX_RESPAWNS = 3
+#: Replacement workers the parent may spawn per run after crashes, before
+#: it stops replacing them (surviving workers still drain the queue; the
+#: sweep only aborts when none remain).
+MAX_RESPAWNS = 3
 
 #: Times a cell may be attempted when its worker keeps dying under it.
 _MAX_CELL_ATTEMPTS = 2
@@ -88,7 +90,6 @@ def run_sweep(plan: SweepPlan, *,
               topology_provider: Callable[..., Topology] | None = None,
               keep_going: bool = False,
               cell_timeout: float | None = None,
-              max_respawns: int = DEFAULT_MAX_RESPAWNS,
               metrics_path: str | os.PathLike | None = None,
               metrics_append: bool = False,
               failures_out: dict[str, dict] | None = None,
@@ -135,10 +136,6 @@ def run_sweep(plan: SweepPlan, *,
         offending worker is killed and the cell marked failed; in serial
         mode the cap is checked after the cell finishes (best effort — a
         single process cannot preempt itself).
-    max_respawns:
-        Replacement workers the parent may spawn after worker deaths
-        before it stops replacing them (surviving workers still drain the
-        queue; the sweep only aborts when none remain).
     metrics_path:
         Optional JSONL path; enables per-cell engine instrumentation (each
         cell simulates with a :class:`repro.obs.MetricsCollector`) and
@@ -178,9 +175,6 @@ def run_sweep(plan: SweepPlan, *,
     if cell_timeout is not None and cell_timeout <= 0:
         raise SimulationError(
             f"cell_timeout must be positive, got {cell_timeout}")
-    if max_respawns < 0:
-        raise SimulationError(
-            f"max_respawns must be >= 0, got {max_respawns}")
 
     save = None
     done: dict[str, dict] = {}
@@ -211,7 +205,7 @@ def run_sweep(plan: SweepPlan, *,
                                   failures, stream, route_cache_config)
         else:
             records = _run_parallel(plan, pending, save, log, jobs,
-                                    keep_going, cell_timeout, max_respawns,
+                                    keep_going, cell_timeout,
                                     failures, stream, route_cache_config)
     finally:
         if stream is not None:
@@ -581,7 +575,7 @@ def _run_parallel(plan: SweepPlan, pending: list[SweepCell],
                   save: Callable[[dict], None] | None,
                   log: Callable[[str], None] | None,
                   jobs: int, keep_going: bool, cell_timeout: float | None,
-                  max_respawns: int, failures: dict[str, dict],
+                  failures: dict[str, dict],
                   stream=None,
                   cache_config: RouteCacheConfig | None = None
                   ) -> dict[str, dict]:
@@ -735,12 +729,12 @@ def _run_parallel(plan: SweepPlan, pending: list[SweepCell],
                 groups_by_id[next_gid] = requeue
                 group_queue.append(next_gid)
                 next_gid += 1
-            if respawns_used < max_respawns and outstanding:
+            if respawns_used < MAX_RESPAWNS and outstanding:
                 respawns_used += 1
                 spawn()
             if not workers and outstanding and failure is None:
                 failure = (f"all sweep workers died and the respawn budget "
-                           f"({max_respawns}) is exhausted; "
+                           f"({MAX_RESPAWNS}) is exhausted; "
                            f"{len(outstanding)} cells unfinished")
 
     def kill_timed_out_workers() -> None:

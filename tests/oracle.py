@@ -1,12 +1,18 @@
-"""The event-loop oracle: the historical rebuild-per-event engine.
+"""The oracles: the reference allocator and the rebuild-per-event engine.
 
-:func:`repro.engine.simulate` is the only event loop in ``src/``.  This
-module keeps the engine it replaced, verbatim, as the reference the
-equivalence suites compare it against: a per-flow completion walk that
-rebuilds the active list and the route CSR at every allocation and hands
-them to the from-scratch reference :func:`repro.engine.maxmin.allocate`.
-It shares only the route closures, the placement check and the loop
-constants with the engine under test.  Fault timelines are out of its scope.
+:class:`repro.engine.active.ActiveSet` is the only allocator and
+:func:`repro.engine.simulate` the only event loop in ``src/``.  This
+module keeps what they replaced as the references the equivalence suites
+compare them against:
+
+* :func:`allocate`, progressive filling recomputed from zero state over a
+  freshly concatenated route CSR (:func:`pool_csr` gathers that CSR from
+  an ``ActiveSet``'s pool);
+* :func:`simulate_rebuild`, a per-flow completion walk that rebuilds the
+  active list and the route CSR at every allocation and hands them to
+  :func:`allocate`.  It shares only the route closures, the placement
+  check and the loop constants with the engine under test.  Fault
+  timelines are out of its scope.
 
 :func:`assert_results_identical` is the comparison every equivalence
 suite uses.
@@ -19,8 +25,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.engine.active import ActiveSet
 from repro.engine.flows import FlowSet
-from repro.engine.maxmin import allocate
+from repro.engine.maxmin import _COUNT_TOL, _SAT_TOL, _slices_concat
 from repro.engine.results import SimulationResult
 from repro.engine.simulator import (_FIDELITIES, _TIE_EPS, CHURN_FRACTION,
                                     _check_placement, _make_route_fn)
@@ -30,6 +37,154 @@ from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsCollector
+
+
+def pool_csr(active: ActiveSet) -> tuple[np.ndarray, np.ndarray]:
+    """The set's active routes as the ``(link_entries, flow_ptr)`` CSR
+    :func:`allocate` takes, gathered from its pool in slot order."""
+    entries, lens = active.route_entries()
+    ptr = np.zeros(lens.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lens, out=ptr[1:])
+    return entries, ptr
+
+
+def allocate(link_entries: np.ndarray, flow_ptr: np.ndarray,
+             capacities: np.ndarray,
+             weights: np.ndarray | None = None, *,
+             stats: dict | None = None) -> np.ndarray:
+    """(Weighted) max-min fair rates for a batch of flows.
+
+    Parameters
+    ----------
+    link_entries:
+        Concatenated link ids of every flow's route (flow ``i`` owns
+        ``link_entries[flow_ptr[i]:flow_ptr[i+1]]``).  A flow may not list
+        the same link twice (routes are loop-free walks).
+    flow_ptr:
+        Route offsets, ``len == num_flows + 1``.
+    capacities:
+        Global per-link capacity vector (bits/s), indexed by link id.
+    weights:
+        Optional strictly-positive per-flow weights.  An unfrozen flow's
+        rate is ``weight * level``: a weight-2 flow receives twice the
+        bandwidth of a weight-1 competitor on a shared bottleneck.  This is
+        the "low-level bandwidth scheduling to give priority to critical
+        flows" the paper lists as future work.  ``None`` means equal
+        weights (classic max-min).
+    stats:
+        Optional out-parameter: when a dict is supplied, the number of
+        progressive-filling iterations (water-level raises) is written to
+        ``stats["iterations"]``.  Used by the observability layer; the
+        default (``None``) adds no work to the loop.
+
+    Returns
+    -------
+    numpy.ndarray
+        Per-flow rate in bits/s; every rate is strictly positive.
+
+    Written for numpy throughput: link ids are compacted to the links the
+    batch uses; a link -> entries CSR is built once, so each saturated
+    link's flows are gathered exactly once over the whole run; and each
+    iteration is a masked minimum over the active links.
+    :class:`~repro.engine.active.ActiveSet`'s fill kernel
+    (:mod:`repro.engine.kernels.numpy_fill`) performs these same float
+    operations on the same values — residual ``cap - delta * count`` per
+    iteration, the ``_SAT_TOL`` capacity floor as the saturation test —
+    but defers them on the links that cannot saturate soon, so its rates
+    and iteration counts equal this routine's bit for bit (for weighted
+    flows, up to the order in which equal-level weights leave a link's
+    count: ascending flow id there, batch order here).
+    """
+    num_flows = flow_ptr.shape[0] - 1
+    if num_flows == 0:
+        if stats is not None:
+            stats["iterations"] = 0
+        return np.empty(0, dtype=np.float64)
+    if link_entries.shape[0] != flow_ptr[-1]:
+        raise SimulationError("flow_ptr does not cover link_entries")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (num_flows,):
+            raise SimulationError("weights must have one entry per flow")
+        if np.any(weights <= 0):
+            raise SimulationError("flow weights must be strictly positive")
+
+    # compact to the links actually used by this batch
+    used, local = np.unique(link_entries, return_inverse=True)
+    cap_rem = capacities[used].astype(np.float64, copy=True)
+    if np.any(cap_rem <= 0):
+        raise SimulationError("active flow crosses a zero-capacity link")
+    sat_floor = cap_rem * _SAT_TOL
+    num_local = used.shape[0]
+
+    flow_of_entry = np.repeat(np.arange(num_flows, dtype=np.int64),
+                              np.diff(flow_ptr))
+
+    # link -> entries CSR (so saturated links locate their flows in O(deg))
+    entry_order = np.argsort(local, kind="stable")
+    link_indptr = np.zeros(num_local + 1, dtype=np.int64)
+    np.cumsum(np.bincount(local, minlength=num_local), out=link_indptr[1:])
+    flows_by_link = flow_of_entry[entry_order]
+
+    if weights is None:
+        counts = np.bincount(local, minlength=num_local).astype(np.float64)
+    else:
+        counts = np.bincount(local, weights=weights[flow_of_entry],
+                             minlength=num_local)
+    active_link = counts > 0
+    unfrozen = np.ones(num_flows, dtype=bool)
+    rates = np.zeros(num_flows, dtype=np.float64)
+    level = 0.0
+    remaining_flows = num_flows
+    iterations = 0
+
+    for _ in range(num_local + 1):
+        if remaining_flows == 0:
+            break
+        if not active_link.any():
+            raise SimulationError("allocation left flows without a bottleneck")
+        iterations += 1
+        # raise the water level until the tightest active link saturates
+        shares = cap_rem[active_link] / counts[active_link]
+        delta = float(shares.min())
+        level += delta
+        cap_rem[active_link] -= delta * counts[active_link]
+        saturated = np.nonzero(active_link & (cap_rem <= sat_floor))[0]
+        if saturated.size == 0:
+            # numerically the minimum itself must have saturated
+            act = np.nonzero(active_link)[0]
+            saturated = act[cap_rem[act] <= cap_rem[act].min() + sat_floor[act]]
+        # freeze every unfrozen flow crossing a saturated link
+        frozen_entries = np.concatenate(
+            [flows_by_link[link_indptr[l]:link_indptr[l + 1]] for l in saturated])
+        frozen_now = np.unique(frozen_entries)
+        frozen_now = frozen_now[unfrozen[frozen_now]]
+        active_link[saturated] = False
+        if frozen_now.size:
+            rates[frozen_now] = level if weights is None \
+                else weights[frozen_now] * level
+            unfrozen[frozen_now] = False
+            remaining_flows -= frozen_now.size
+            # remove the frozen flows' presence from link occupancy
+            starts = flow_ptr[frozen_now]
+            stops = flow_ptr[frozen_now + 1]
+            idx = _slices_concat(starts, stops)
+            touched = local[idx]
+            if weights is None:
+                np.subtract.at(counts, touched, 1.0)
+            else:
+                np.subtract.at(counts, touched, weights[flow_of_entry[idx]])
+            emptied = counts <= _COUNT_TOL
+            active_link &= ~emptied
+    else:  # pragma: no cover - progressive filling always terminates
+        raise SimulationError("progressive filling failed to converge")
+
+    if remaining_flows:
+        raise SimulationError("allocation left flows without a bottleneck")
+    if stats is not None:
+        stats["iterations"] = iterations
+    return rates
+
 
 
 def assert_results_identical(a: SimulationResult, b: SimulationResult,
@@ -95,7 +250,7 @@ def _simulate_rebuild(topology: Topology, flows: FlowSet,
 
     Every event re-materialises the active list (Python list filtering),
     re-concatenates all active routes into a fresh CSR, and hands it to
-    the reference :func:`repro.engine.maxmin.allocate` to recompute
+    the reference :func:`allocate` to recompute
     progressive filling from zero state.  This is the baseline the
     incremental engine is benchmarked and verified against — both
     produce identical rates, makespans and event counts.
@@ -204,7 +359,11 @@ def _simulate_rebuild(topology: Topology, flows: FlowSet,
                 f"(fidelity={fidelity!r}, event {events})")
         done_mask = deadlines <= dt + max(dt, 1.0) * _TIE_EPS
         if collector is not None:
-            collector.account_event([routes[f] for f in active], rates, dt)
+            route_list = [routes[f] for f in active]
+            collector.account_event(
+                np.concatenate(route_list),
+                np.asarray([r.shape[0] for r in route_list], dtype=np.int64),
+                rates, dt)
         now += dt
         remaining[ids] -= rates * dt
         remaining[ids[done_mask]] = 0.0

@@ -1,11 +1,12 @@
 """Tests for the persistent incremental max-min allocator.
 
 The :class:`~repro.engine.active.ActiveSet` must produce the *same* rates
-as the reference :func:`repro.engine.maxmin.allocate` on whatever flow set
-it currently holds — after any interleaving of admissions and retirements,
-on every topology family, with and without weights, through the warm path
+as the reference :func:`tests.oracle.allocate` on whatever flow set it
+currently holds — after any interleaving of admissions and retirements,
+on every topology family, with and without weights, through the relevel
 and the full pass alike.  These tests drive it through randomized churn
-and compare against the reference on the CSR the set itself gathers.
+and compare against the reference on the CSR gathered from the set's
+pool.
 """
 
 from __future__ import annotations
@@ -23,19 +24,19 @@ from repro.engine import simulate
 from repro.engine.active import ActiveSet
 from repro.engine.flows import FlowBuilder
 from repro.engine.kernels import numpy_fill
-from repro.engine.maxmin import allocate
 from repro.errors import SimulationError
 from repro.obs import MetricsCollector
 from repro.units import DEFAULT_LINK_CAPACITY as CAP
 from repro.workloads import AllReduce, Permutation, UnstructuredApp
 from repro.workloads import build as build_workload
-from tests.oracle import assert_results_identical, simulate_rebuild
+from tests.oracle import (allocate, assert_results_identical, pool_csr,
+                          simulate_rebuild)
 
 
 def _reference_rates(active: ActiveSet, capacities: np.ndarray,
                      weighted: bool) -> np.ndarray:
     """Reference allocation over the set's current flows (slot order)."""
-    entries, ptr = active.gather_csr()
+    entries, ptr = pool_csr(active)
     return allocate(entries, ptr, capacities,
                     active.weights.copy() if weighted else None)
 
@@ -97,12 +98,6 @@ class TestMembership:
         with pytest.raises(SimulationError):
             active.remove(99)
 
-    def test_set_rates_length_checked(self):
-        active = ActiveSet(np.ones(2))
-        active.add(0, np.array([0], dtype=np.int64))
-        with pytest.raises(SimulationError):
-            active.set_rates(np.zeros(3))
-
     def test_empty_allocation_is_noop(self):
         active = ActiveSet(np.ones(2))
         stats: dict = {}
@@ -158,7 +153,7 @@ class TestChurnMatchesReference:
                 got = active.allocate().copy()
                 want = _reference_rates(active, caps, weighted=True)
                 np.testing.assert_allclose(got, want, rtol=1e-9)
-        assert active.warm_fills == 0  # weighted sets never warm-fill
+        assert active.relevel_fills == 0  # weighted sets never relevel
 
     def test_pool_growth_and_compaction(self):
         """Heavy churn through pool exhaustion keeps rates exact."""
@@ -213,8 +208,8 @@ class TestChurnProperty:
             if active.size and i % 3 == 0:
                 got = active.allocate().copy()
                 want = _reference_rates(active, caps, weighted)
-                # warm fills may diverge from a cold reference allocation
-                # only within float tolerance
+                # weighted fills may diverge from the reference only
+                # within float tolerance
                 np.testing.assert_allclose(
                     got, want, rtol=1e-12 if not weighted else 1e-9)
 
@@ -293,8 +288,8 @@ def _fill_scripts(draw):
 
     Capacities mix exact ties (small multiples of one capacity), near
     ties inside the saturation tie rule (a few 1e-13 apart) and free
-    values; routes repeat, so identical-route flows tie exactly and
-    matched re-admissions (the same route object) drive the relevel.
+    values; routes repeat, so identical-route flows tie exactly, and
+    steps that only remove flows drive the relevel.
     The pool holds every single-link route and a fresh route is often
     admitted six times over: a ladder of lone flows on links of distinct
     capacity above a crowded link is what makes full passes and relevels
@@ -322,26 +317,20 @@ def _fill_scripts(draw):
     alive: list[int] = []
     next_fid = 0
     for step in range(draw(st.integers(1, 8))):
-        removed = []
+        removed = 0
         if alive:
-            for _ in range(draw(st.integers(0, min(4, len(alive))))):
+            removed = draw(st.integers(0, min(4, len(alive))))
+            for _ in range(removed):
                 fid = alive.pop(draw(st.integers(0, len(alive) - 1)))
                 script.append(("remove", fid))
-                removed.append(fid)
-        # matched re-admissions (each removed flow's route at most once,
-        # so the route multiset shrinks) and, unless only those come
-        # back, fresh pool routes
-        adds = [fid for fid in removed if draw(st.booleans())]
-        if not (removed and draw(st.booleans())):
-            adds += [None] * draw(st.integers(0 if step else 1, 12))
+        # half the steps that remove flows admit none (the relevel's
+        # case); the others admit fresh pool routes
+        adds = 0 if removed and draw(st.booleans()) \
+            else draw(st.integers(0 if step else 1, 12))
         batch = []
-        for twin in adds:
-            route = next(op[2] for op in script if op[0] == "add"
-                         and op[1] == twin) if twin is not None \
-                else pool[draw(st.integers(0, len(pool) - 1))]
-            copies = 1 if twin is not None \
-                else draw(st.sampled_from((1, 1, 1, 6)))
-            for _ in range(copies):
+        for _ in range(adds):
+            route = pool[draw(st.integers(0, len(pool) - 1))]
+            for _ in range(draw(st.sampled_from((1, 1, 1, 6)))):
                 weight = float(draw(st.sampled_from((1, 2, 3)))) \
                     if weighted else 1.0
                 batch.append((next_fid, route, weight))
@@ -362,7 +351,7 @@ class TestWindowedFillProperty:
     relevel on, windowed fills whose rounds all fall back to steps with
     it off, and the default kernel (small fills only step) with it off —
     and every allocation must agree bit for bit on rates and recorded
-    levels, match :func:`repro.engine.maxmin.allocate` on rates (and on
+    levels, match :func:`tests.oracle.allocate` on rates (and on
     iteration counts for every full pass), and, for at most eight
     flows, match exact rational progressive filling to 1e-12 — where no
     link's saturation level sits within the float loop's tie rule of the
@@ -452,7 +441,7 @@ class TestWindowedFillProperty:
             if active.fill_rounds - rounds < stats["iterations"]:
                 batched.add("relevel" if stats.get("relevel") else "full")
             got = dict(zip(active.flow_ids.tolist(), rates.tolist()))
-            entries, ptr = active.gather_csr()
+            entries, ptr = pool_csr(active)
             ref_stats: dict = {}
             want = allocate(entries, ptr, caps,
                             active.weights.copy() if weighted else None,
@@ -543,6 +532,9 @@ class TestWindowedRounds:
 
 
 class TestWarmPath:
+    """There is no warm path: an admission always takes the full pass,
+    even one that restores the multiset of routes."""
+
     def test_route_swap_takes_warm_path(self, small_torus):
         caps = small_torus.links.capacities
         r1 = np.asarray(small_torus.route(0, 5), dtype=np.int64)
@@ -555,15 +547,16 @@ class TestWarmPath:
         assert active.full_passes == 1
 
         # retire one flow and replace it with the *same* route object:
-        # the multiset of routes is unchanged, so the warm path applies
+        # the multiset of routes is unchanged, and the set full-passes
         active.remove(0)
         active.add(3, r1)
         stats: dict = {}
         got = active.allocate(stats=stats).copy()
-        assert stats["warm"] is True and stats["iterations"] == 0
-        assert active.warm_fills == 1 and active.full_passes == 1
+        assert stats["warm"] is False and stats["iterations"] > 0
+        assert active.full_passes == 2
+        assert active.warm_fills == 0 and active.relevel_fills == 0
         want = _reference_rates(active, caps, weighted=False)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert got.tolist() == want.tolist()
 
     def test_changed_multiset_takes_full_pass(self, small_torus):
         caps = small_torus.links.capacities
@@ -572,26 +565,11 @@ class TestWarmPath:
         active = ActiveSet(caps)
         active.add(0, r1)
         active.allocate()
-        active.add(1, r2)  # genuinely new route: no warm fill
+        active.add(1, r2)  # an admission: full pass
         stats: dict = {}
         active.allocate(stats=stats)
         assert stats["warm"] is False
         assert active.full_passes == 2
-
-    def test_set_rates_invalidates_levels(self, small_torus):
-        caps = small_torus.links.capacities
-        r1 = np.asarray(small_torus.route(0, 5), dtype=np.int64)
-        active = ActiveSet(caps)
-        active.add(0, r1)
-        active.allocate()
-        entries, ptr = active.gather_csr()
-        active.set_rates(allocate(entries, ptr, caps))
-        active.remove(0)
-        active.add(1, r1)
-        stats: dict = {}
-        active.allocate(stats=stats)
-        # externally installed rates poison the recorded water levels
-        assert stats["warm"] is False
 
 
 class TestSimulatorEquivalence:
@@ -637,8 +615,6 @@ class TestSimulatorEquivalence:
         assert inc.allocator_stats is not None
         assert inc.allocator_stats["allocator"] == "incremental"
         assert inc.allocator_stats["full_passes"] >= 1
-        # chained identical-route releases are the warm path's use case
-        assert inc.allocator_stats["warm_fills"] > 0
         reb = simulate_rebuild(small_torus, flows)
         assert reb.allocator_stats["allocator"] == "rebuild"
         # the oracle recomputes from scratch at every allocation

@@ -1,11 +1,10 @@
 """Equivalence regressions for the exact-fidelity batched completion path.
 
-The warm-fill machinery extends to *near-identical* allocation states: an
-exact-mode completion batch retires flows (and admits their chained
-releases on identical routes), and the allocator resumes the recorded
-water-level fill above the churn's threshold instead of paying a full
-progressive-filling pass per event
-(:meth:`repro.engine.active.ActiveSet._relevel_fill`).
+An exact-mode completion batch that releases no flow only retires flows,
+and the allocator resumes the recorded water-level fill above the
+removals' threshold instead of paying a full progressive-filling pass per
+event (:meth:`repro.engine.active.ActiveSet._relevel_fill`); a batch that
+releases flows takes the full pass.
 
 The path is specified as *bitwise-exact*: every rate, makespan and
 completion time must match what the full pass — and therefore the loop
@@ -13,7 +12,7 @@ oracle (:func:`tests.oracle.simulate_rebuild`) — produces.  This suite
 pins that claim across workloads, topology families, healthy and
 fault-timeline runs, with the relevel path on and off
 (:attr:`ActiveSet.RELEVEL`), and with a Hypothesis property over random
-near-identical churn.
+removal bursts.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ class TestExactBatchEquivalence:
         assert_results_identical(inc, reb, "incremental", "rebuild")
 
     def test_relevel_fires_on_independent_flows(self, small_nesttree):
-        """Pure-removal churn — the state the warm path never matched —
-        now resumes the recorded fill instead of running a full pass."""
+        """Pure-removal churn resumes the recorded fill instead of running
+        a full pass."""
         flows = build_workload("unstructuredhr",
                                small_nesttree.num_endpoints, seed=1).build()
         result = simulate(small_nesttree, flows, fidelity="exact")
@@ -131,15 +130,14 @@ class TestTransientExactBatch:
 
 
 class TestRelevelProperty:
-    """Hypothesis: near-identical churn — the suffix-resume relevel's
-    territory — stays bitwise on the full pass.
+    """Hypothesis: removal bursts — the suffix-resume relevel's
+    territory — stay bitwise on the full pass.
 
     Each script batch-adds flows from an interned route pool, then runs
-    rounds of removal bursts with optional *matched* re-adds (the same
-    route array object, so the multiset of route keys never gains a
-    member).  That is exactly the state the relevel path claims to
-    resume bitwise; a twin ActiveSet with the path disabled provides the
-    full-pass oracle at every allocation.
+    rounds of removal bursts, some followed by re-adds of removed routes.
+    A burst with no re-add is the state the relevel path claims to resume
+    bitwise; one with re-adds takes the full pass.  A twin ActiveSet with
+    the path disabled provides the full-pass oracle at every allocation.
     """
 
     @settings(max_examples=20, deadline=None)
@@ -167,8 +165,8 @@ class TestRelevelProperty:
                 route_pool[(s, d)] = route
             return route
 
-        # one churn script: seed adds, then removal bursts with matched
-        # re-adds (never more re-adds than removals of that same route)
+        # one churn script: seed adds, then removal bursts, some with
+        # re-adds of the removed routes
         script: list[tuple] = [("add", fid, draw_route())
                                for fid in range(n_flows)]
         alive = {fid: route for _, fid, route in script}
@@ -184,7 +182,7 @@ class TestRelevelProperty:
                 script.append(("remove", int(fid)))
                 removed.append(alive.pop(int(fid)))
             for route in removed:
-                if rng.random() < 0.4:   # matched re-admission
+                if rng.random() < 0.4:   # re-admission
                     script.append(("add", next_fid, route))
                     alive[next_fid] = route
                     next_fid += 1
@@ -259,15 +257,20 @@ class TestRelevelUnit:
         """
         m = active._m
         seq = active._level_seq
+
+        def route_at(slot):
+            start = int(active._starts[slot])
+            return active._entries[start:start + int(active._lens[slot])]
+
         for slot in range(m):
-            route = active._routes[slot]
+            route = route_at(slot)
             tmin = float(active._levels[route].min())
             k = int(np.searchsorted(seq, tmin, side="left"))
             if k == 0:
                 continue
             parts = np.flatnonzero(active._rates[:m] >= tmin)
             plinks = np.concatenate(
-                [active._routes[s] for s in parts if s != slot] + [route])
+                [route_at(s) for s in parts if s != slot] + [route])
             suffix = np.unique(np.concatenate((plinks, route)))
             cost = int(active._csr_len[suffix].sum()) + k * suffix.shape[0]
             if cost <= active._live_nnz:
@@ -293,26 +296,33 @@ class TestRelevelUnit:
         active = self._filled_set(small_nesttree)
         route = np.asarray(small_nesttree.route(0, 5), dtype=np.int64)
         active.remove(2)
-        active.add(100, route)  # distinct route object: a net addition
+        active.add(100, route)  # any admission takes the full pass
         active.allocate()
         assert active.relevel_fills == 0
         assert active.full_passes == 2
 
     def test_matched_plus_removed_relevels(self, small_nesttree):
-        """A matched (identical-route) swap plus a net removal is the
-        exact completion batch's shape and takes the relevel path."""
+        """A removal plus a swap onto an identical route admits a flow,
+        so it takes the full pass, whose rates equal the relevel-off
+        twin's."""
         active = self._filled_set(small_nesttree)
+        cold = self._filled_set(small_nesttree)
+        cold.RELEVEL = False
         fid = self._eligible_fid(active)
         swap = 5 if fid != 5 else 6
-        route = active._routes[int(active._slot_arr[swap])]
-        active.remove(fid)
-        active.remove(swap)
-        active.add(200, route)  # same interned array: matched
-        active.allocate()
-        assert active.relevel_fills == 1
-        # the matched admission inherited its twin's exact rate
-        rate = float(active.rates[active.flow_ids == 200][0])
-        assert rate > 0.0 and np.isfinite(rate)
+        slot = int(active._slot_arr[swap])
+        start = int(active._starts[slot])
+        route = active._entries[start:start + int(active._lens[slot])].copy()
+        rates = []
+        for twin in (active, cold):
+            twin.remove(fid)
+            twin.remove(swap)
+            twin.add(200, route)
+            got = twin.allocate()
+            rates.append(dict(zip(twin.flow_ids.tolist(), got.tolist())))
+        assert active.relevel_fills == 0 and active.full_passes == 2
+        assert rates[0] == rates[1]
+        assert rates[0][200] > 0.0 and np.isfinite(rates[0][200])
 
     def test_weighted_never_relevels(self, small_fattree):
         caps = small_fattree.links.capacities
@@ -325,11 +335,3 @@ class TestRelevelUnit:
         active.remove(2)
         active.allocate()
         assert active.relevel_fills == 0 and active.full_passes == 2
-
-    def test_set_rates_invalidates_resume_state(self, small_nesttree):
-        active = self._filled_set(small_nesttree)
-        active.set_rates(active.rates.copy())
-        active.remove(4)
-        active.allocate()
-        assert active.relevel_fills == 0
-        assert active.full_passes == 2

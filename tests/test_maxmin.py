@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.maxmin import allocate, bottleneck_lower_bound
+from repro.engine.maxmin import bottleneck_lower_bound
 from repro.errors import SimulationError
+from tests.oracle import allocate
 
 
 def _alloc(routes: list[list[int]], caps: list[float]) -> np.ndarray:

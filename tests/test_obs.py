@@ -55,10 +55,11 @@ class TestMetricsCollector:
 
     def test_account_event_accumulates_bits_and_busy(self):
         c = MetricsCollector(6)
-        routes = [np.array([0, 1], dtype=np.int64),
-                  np.array([1, 2], dtype=np.int64)]
+        # two flows on links [0, 1] and [1, 2]
+        entries = np.array([0, 1, 1, 2], dtype=np.int64)
+        lens = np.array([2, 2], dtype=np.int64)
         rates = np.array([10.0, 20.0])
-        c.account_event(routes, rates, 0.5)
+        c.account_event(entries, lens, rates, 0.5)
         assert c.events == 1
         np.testing.assert_allclose(c.link_bits[:3], [5.0, 15.0, 10.0])
         # link 1 is shared but was busy for the same 0.5 s, not 1.0 s
@@ -66,8 +67,8 @@ class TestMetricsCollector:
 
     def test_zero_dt_event_counts_but_moves_nothing(self):
         c = MetricsCollector(4)
-        c.account_event([np.array([0], dtype=np.int64)],
-                        np.array([10.0]), 0.0)
+        c.account_event(np.array([0], dtype=np.int64),
+                        np.array([1], dtype=np.int64), np.array([10.0]), 0.0)
         assert c.events == 1
         assert c.link_bits.sum() == 0.0
         assert c.link_busy.sum() == 0.0

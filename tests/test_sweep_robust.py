@@ -184,6 +184,22 @@ class TestWorkerDeath:
         assert len(errors) == 1
         assert errors[0]["error"]["type"] == "WorkerCrashed"
 
+    def test_exhausted_respawn_budget_raises(self, monkeypatch):
+        """With no respawns allowed and every cell killing its worker,
+        the sweep aborts with a typed error naming the spent budget."""
+        def kill(plan, cell, *args, **kwargs):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(runner_mod, "MAX_RESPAWNS", 0)
+        monkeypatch.setattr(runner_mod, "_run_cell", kill)
+        plan = make_explorer().plan(["reduce"])
+        lines: list[str] = []
+        with pytest.raises(SimulationError,
+                           match=r"respawn budget \(0\) is exhausted"):
+            run_sweep(plan, jobs=2, log=lines.append)
+        # the two first workers died and none replaced them
+        assert sum(" died " in line for line in lines) == 2
+
     def test_cell_timeout_kills_stuck_worker(self, tmp_path, monkeypatch):
         real = runner_mod._run_cell
 
@@ -292,8 +308,3 @@ class TestRunnerGuards:
         plan = make_explorer().plan(["reduce"])
         with pytest.raises(SimulationError, match="cell_timeout"):
             run_sweep(plan, cell_timeout=0)
-
-    def test_bad_max_respawns_rejected(self):
-        plan = make_explorer().plan(["reduce"])
-        with pytest.raises(SimulationError, match="max_respawns"):
-            run_sweep(plan, max_respawns=-1)

