@@ -56,31 +56,37 @@ def _add_sweep(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workloads", nargs="*", default=None,
                    help="subset of workloads to run")
     p.add_argument("--out", default=None, help="also write raw CSV here")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the sweep (default 1: serial)")
-    p.add_argument("--checkpoint", default=None, metavar="DIR",
-                   help="store each cell's result in this result-store "
-                        "directory as the sweep runs (the store `repro "
-                        "serve --store` answers from)")
-    p.add_argument("--resume", action="store_true",
-                   help="skip cells already present in --checkpoint")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress progress logging")
+    _add_runner(p, metrics_help="instrument every cell and stream one "
+                "schema-versioned metrics record per cell to this JSONL "
+                "file (tier link accounting, allocator stats, timers; see "
+                "docs/observability.md)")
     p.add_argument("--keep-going", action="store_true",
                    help="record per-cell failures as typed error entries in "
                         "the checkpoint's failures/ sidecar instead of "
                         "aborting the sweep")
+    _add_routing(p)
+
+
+def _add_runner(p: argparse.ArgumentParser, *, metrics_help: str) -> None:
+    """The options of every command that runs simulation cells through
+    :func:`repro.sweep.run_sweep`."""
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default 1: serial)")
+    p.add_argument("--checkpoint", default=None, metavar="DIR",
+                   help="store each simulation cell's result in this "
+                        "result-store directory as it completes (the store "
+                        "`repro serve --store` answers from)")
+    p.add_argument("--resume", action="store_true",
+                   help="skip cells already present in --checkpoint")
     p.add_argument("--cell-timeout", type=float, default=None,
                    metavar="SECONDS",
-                   help="wall-clock cap per sweep cell (parallel workers "
-                        "stuck past it are killed and the cell marked "
-                        "failed)")
+                   help="wall-clock cap per simulation cell (parallel "
+                        "workers stuck past it are killed and the cell "
+                        "marked failed)")
     p.add_argument("--metrics", default=None, metavar="PATH",
-                   help="instrument every cell and stream one "
-                        "schema-versioned metrics record per cell to this "
-                        "JSONL file (tier link accounting, allocator stats, "
-                        "timers; see docs/observability.md)")
-    _add_routing(p)
+                   help=metrics_help)
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress progress logging")
 
 
 def _add_routing(p: argparse.ArgumentParser) -> None:
@@ -132,7 +138,8 @@ def _add_faults(p: argparse.ArgumentParser, *, many_links: bool) -> None:
                    help="seed for reproducible fault sampling (default 0)")
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, every subcommand included."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Multi-tier interconnect design exploration "
@@ -211,24 +218,11 @@ def main(argv: list[str] | None = None) -> int:
     pc.add_argument("--bootstrap", type=int, default=1000, metavar="N",
                     help="bootstrap resamples behind the slowdown CIs "
                          "(default 1000)")
-    pc.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (default 1: serial)")
-    pc.add_argument("--checkpoint", default=None, metavar="DIR",
-                    help="result-store directory for the healthy and "
-                         "Monte-Carlo cells")
-    pc.add_argument("--resume", action="store_true",
-                    help="skip cells already present in --checkpoint")
-    pc.add_argument("--cell-timeout", type=float, default=None,
-                    metavar="SECONDS",
-                    help="wall-clock cap per simulation cell")
-    pc.add_argument("--metrics", default=None, metavar="PATH",
-                    help="stream one obs metrics record per Monte-Carlo "
-                         "cell (includes the transient recovery counters) "
-                         "to this JSONL file")
+    _add_runner(pc, metrics_help="stream one obs metrics record per "
+                "Monte-Carlo cell (includes the transient recovery "
+                "counters) to this JSONL file")
     pc.add_argument("--report", default=None, metavar="PATH",
                     help="write the schema-versioned JSON report here")
-    pc.add_argument("--quiet", action="store_true",
-                    help="suppress progress logging")
     _add_routing(pc)
 
     pr = sub.add_parser("run", help="one (topology, workload) simulation")
@@ -288,24 +282,10 @@ def main(argv: list[str] | None = None) -> int:
                     help="routing policies as an extra search axis "
                          f"(choose from: {', '.join(ROUTING_POLICIES)}; "
                          "default: deterministic only)")
-    po.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for the simulation rungs")
-    po.add_argument("--checkpoint", default=None, metavar="DIR",
-                    help="result-store directory for the pilot and "
-                         "full-fidelity simulation cells")
-    po.add_argument("--resume", action="store_true",
-                    help="skip simulation cells already present in "
-                         "--checkpoint")
-    po.add_argument("--cell-timeout", type=float, default=None,
-                    metavar="SECONDS",
-                    help="wall-clock cap per simulation cell")
-    po.add_argument("--metrics", default=None, metavar="PATH",
-                    help="base path for per-evaluation obs metrics streams "
-                         "(PATH.rank<N>.metrics.jsonl)")
+    _add_runner(po, metrics_help="base path for per-evaluation obs "
+                "metrics streams (PATH.rank<N>.metrics.jsonl)")
     po.add_argument("--report", default=None, metavar="PATH",
                     help="write the schema-versioned JSON report here")
-    po.add_argument("--quiet", action="store_true",
-                    help="suppress progress logging")
     _add_cost_model(po)
 
     pv = sub.add_parser(
@@ -388,7 +368,11 @@ def main(argv: list[str] | None = None) -> int:
     _add_routing(pb)
 
     sub.add_parser("info", help="library inventory")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
     try:

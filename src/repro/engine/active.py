@@ -61,6 +61,8 @@ unchanged.  Weighted flow sets always take the full pass.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from repro.engine.kernels import numpy_fill
@@ -115,6 +117,10 @@ class ActiveSet:
         self._weights = np.ones(_MIN_SLOTS, dtype=np.float64)
         self._starts = np.zeros(_MIN_SLOTS, dtype=np.int64)
         self._lens = np.zeros(_MIN_SLOTS, dtype=np.int64)
+        # admission sequence numbers: slot order is not admission order
+        # once a removal moves a tail slot down
+        self._arrival = np.zeros(_MIN_SLOTS, dtype=np.int64)
+        self._next_arrival = 0
         self._slot_flag = np.zeros(_MIN_SLOTS, dtype=bool)
         # iteration each flow froze in during the current fill (-1 = not
         # in this fill), fill-kernel scratch
@@ -216,6 +222,13 @@ class ActiveSet:
         """Per-flow bandwidth weights aligned with :attr:`flow_ids`."""
         return self._weights[:self._m]
 
+    @property
+    def arrivals(self) -> np.ndarray:
+        """Per-flow admission sequence numbers aligned with
+        :attr:`flow_ids` (view): ascending in the order the flows were
+        admitted, whatever their slots."""
+        return self._arrival[:self._m]
+
     def route_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """Every active route's link ids, gathered from the pool and
         concatenated in slot order, and the per-flow route lengths
@@ -257,6 +270,8 @@ class ActiveSet:
         self._weights[slot] = weight
         self._starts[slot] = start
         self._lens[slot] = length
+        self._arrival[slot] = self._next_arrival
+        self._next_arrival += 1
         self._slot_arr[fid] = slot
         self._m = slot + 1
         self._churn_units += 1
@@ -280,25 +295,33 @@ class ActiveSet:
         k = len(routes)
         if k == 0:
             return
+        # the per-flow scalars go through Python lists: a release batch
+        # holds a flow or two, where a numpy call costs more than a list
         fids = np.asarray(fids, dtype=np.int64)
-        lens = np.fromiter((r.shape[0] for r in routes), count=k,
-                           dtype=np.int64)
-        if not (lens > 0).all():
-            bad = int(fids[np.fromiter(
-                (r.shape[0] == 0 for r in routes), count=k, dtype=bool)][0])
+        fid_list = fids.tolist()
+        lens = [r.shape[0] for r in routes]
+        if 0 in lens:
             raise SimulationError(
-                f"flow {bad} has an empty route; zero-hop flows never "
-                "enter the active set")
+                f"flow {fid_list[lens.index(0)]} has an empty route; "
+                "zero-hop flows never enter the active set")
         if weights is not None and not (weights > 0).all():
             raise SimulationError("flow weights must be strictly positive")
-        self._ensure_slot_arr(int(fids.max()))
-        if (self._slot_arr[fids] >= 0).any() or \
-                np.unique(fids).shape[0] != k:
-            raise SimulationError("batch admission repeats an active flow")
+        self._ensure_slot_arr(max(fid_list))
         m = self._m
+        slot_arr = self._slot_arr
+        new_slots = np.arange(m, m + k, dtype=np.int64)
+        # scatter the slots and read them back: an id already active
+        # read a slot before, and a repeated id keeps only one of its
+        # slots, so another occurrence reads back a mismatch
+        old = slot_arr[fids]
+        slot_arr[fids] = new_slots
+        if np.count_nonzero(old >= 0) \
+                or np.count_nonzero(slot_arr[fids] != new_slots):
+            slot_arr[fids] = old   # a repeated id read the same old slot
+            raise SimulationError("batch admission repeats an active flow")
         while m + k > self._flow_ids.shape[0]:
             self._grow_slots()
-        total = int(lens.sum())
+        total = sum(lens)
         if self._tail + total > self._entries.shape[0]:
             self._make_room(total)
         start0 = self._tail
@@ -306,16 +329,16 @@ class ActiveSet:
         self._entries[start0:start0 + total] = block
         self._tail = start0 + total
         self._live_nnz += total
-        starts = np.zeros(k, dtype=np.int64)
-        np.cumsum(lens[:-1], out=starts[1:])
-        starts += start0
+        starts = list(accumulate(lens[:-1], initial=start0))
         sl = slice(m, m + k)
         self._flow_ids[sl] = fids
         self._rates[sl] = 0.0 if rates is None else rates
         self._weights[sl] = 1.0 if weights is None else weights
         self._starts[sl] = starts
         self._lens[sl] = lens
-        self._slot_arr[fids] = np.arange(m, m + k, dtype=np.int64)
+        self._arrival[sl] = np.arange(self._next_arrival,
+                                      self._next_arrival + k, dtype=np.int64)
+        self._next_arrival += k
         self._m = m + k
         self._churn_units += k
         if self.occupancy is not None:
@@ -325,9 +348,9 @@ class ActiveSet:
             if k > max(_PATCH_MAX, m >> 3):
                 self._csr_ok = False
             else:
-                for i in range(k):
-                    self._csr_patch_add(int(fids[i]), routes[i],
-                                        int(starts[i]), int(lens[i]))
+                for fid, route, start, length in zip(fid_list, routes,
+                                                     starts, lens):
+                    self._csr_patch_add(fid, route, start, length)
                     if not self._csr_ok:
                         break
         self._admitted = True
@@ -360,6 +383,7 @@ class ActiveSet:
             self._weights[slot] = self._weights[last]
             self._starts[slot] = self._starts[last]
             self._lens[slot] = self._lens[last]
+            self._arrival[slot] = self._arrival[last]
             self._slot_arr[int(self._flow_ids[slot])] = slot
         self._flow_ids[last] = -1
         self._m = last
@@ -412,7 +436,7 @@ class ActiveSet:
         if low.shape[0]:
             src = new_m + np.flatnonzero(~removed[new_m:m])
             for name in ("_flow_ids", "_rates", "_weights", "_starts",
-                         "_lens"):
+                         "_lens", "_arrival"):
                 arr = getattr(self, name)
                 arr[low] = arr[src]
             self._slot_arr[self._flow_ids[low]] = low
@@ -430,7 +454,7 @@ class ActiveSet:
         per-link append relies on.
         """
         cl = self._csr_len[route]
-        if (cl >= self._csr_cap[route]).any():
+        if np.count_nonzero(cl >= self._csr_cap[route]):
             self._csr_ok = False
             return
         q = self._csr_start[route] + cl
@@ -462,14 +486,14 @@ class ActiveSet:
         Takes the suffix-resumed relevel when flows were only removed
         since the last allocation (see module docstring), and the
         CSR-backed full pass otherwise.  ``stats``, when a dict, receives
-        ``iterations``, ``warm`` and ``relevel`` (both ``True`` only on
-        the relevel).  Returns the dense rates view.
+        ``iterations`` and ``relevel`` (``True`` only on the relevel).
+        Returns the dense rates view.
         """
         if self._m == 0:
             self._clear_churn()
             if stats is not None:
                 stats["iterations"] = 0
-                stats["warm"] = False
+                stats["relevel"] = False
             return self._rates[:0]
         if self.RELEVEL and self._gone_starts and not self._admitted:
             iterations = self._relevel_fill()
@@ -479,7 +503,6 @@ class ActiveSet:
                 self._clear_churn()
                 if stats is not None:
                     stats["iterations"] = iterations
-                    stats["warm"] = True
                     stats["relevel"] = True
                 return self._rates[:self._m]
         iterations = self._full_pass()
@@ -487,7 +510,7 @@ class ActiveSet:
         self._clear_churn()
         if stats is not None:
             stats["iterations"] = iterations
-            stats["warm"] = False
+            stats["relevel"] = False
         return self._rates[:self._m]
 
     def _relevel_fill(self) -> int:
@@ -747,7 +770,7 @@ class ActiveSet:
     def _grow_slots(self) -> None:
         new = max(_MIN_SLOTS, 2 * self._flow_ids.shape[0])
         for name in ("_flow_ids", "_rates", "_weights", "_starts", "_lens",
-                     "_slot_flag", "_freeze_iter"):
+                     "_arrival", "_slot_flag", "_freeze_iter"):
             old = getattr(self, name)
             arr = np.zeros(new, dtype=old.dtype)
             arr[:old.shape[0]] = old

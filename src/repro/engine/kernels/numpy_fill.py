@@ -349,18 +349,23 @@ def fill(capacities: np.ndarray, sat_floor: np.ndarray,
             level_links_out[nsat:nsat + sat_links.shape[0]] = sat_links
             nsat += sat_links.shape[0]
             # freeze every unfrozen flow crossing a saturated link, in
-            # ascending flow id (the reference's order)
+            # ascending flow id (the reference's order; only weighted
+            # count drops depend on it)
             if sat_links.shape[0] == 1:
+                # one link lists a flow at most once (routes are simple
+                # paths): only its tombstones go
                 link = sat_links[0]
                 cand = csr_flows[csr_start[link]:csr_start[link]
                                  + csr_len[link]]
+                cand = cand[cand >= 0]
+                if weighted:
+                    cand = np.sort(cand)
             else:
-                cand = csr_flows[_slices_concat(
+                cand = np.unique(csr_flows[_slices_concat(
                     csr_start[sat_links],
-                    csr_start[sat_links] + csr_len[sat_links])]
-            cand = np.unique(cand)
-            if cand.shape[0] and cand[0] < 0:
-                cand = cand[1:]
+                    csr_start[sat_links] + csr_len[sat_links])])
+                if cand.shape[0] and cand[0] < 0:
+                    cand = cand[1:]
             cslots = slot_arr[cand]
             new = cslots[~frozen[cslots]]
             touched = None

@@ -28,22 +28,17 @@ _COUNT_TOL = 1e-9
 
 
 def _slices_concat(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Concatenate index ranges [starts[i], stops[i]) into one index array."""
+    """Concatenate index ranges [starts[i], stops[i]) into one index array.
+
+    Ranges must not have negative length; empty ones contribute nothing.
+    """
+    if starts.shape[0] == 1:
+        return np.arange(starts[0], stops[0], dtype=np.int64)
     lengths = stops - starts
-    nonzero = lengths > 0
-    if not nonzero.all():
-        # a zero-length range contributes nothing, but below it would share
-        # its cumsum offset with a neighbour and corrupt that range's start
-        starts, stops, lengths = starts[nonzero], stops[nonzero], lengths[nonzero]
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    offsets = np.zeros(len(starts) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    out[offsets[:-1]] = starts
-    out[offsets[1:-1]] -= stops[:-1] - 1
-    return np.cumsum(out)
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.shape[0] else 0
+    # entry j of range i is j + (stops[i] - ends[i])
+    return np.repeat(stops - ends, lengths) + np.arange(total, dtype=np.int64)
 
 
 def bottleneck_lower_bound(link_entries: np.ndarray, flow_ptr: np.ndarray,

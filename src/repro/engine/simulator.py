@@ -96,51 +96,57 @@ def cached_routes(topology: Topology, src: np.ndarray, dst: np.ndarray,
                   route_cache, collector=None) -> list[np.ndarray]:
     """Deterministic routes of the pairs ``(src[i], dst[i])``, cached.
 
-    Looks every distinct pair up in ``route_cache`` under the keys
+    Looks every pair up in ``route_cache`` under the keys
     :func:`_make_route_fn` uses (``(s, d)``, or ``(s, d, token)`` on a
-    degraded topology), routes the missing ones with batched
+    degraded topology), in one pass.  Only the missing pairs are deduped:
+    they are routed with batched
     :meth:`~repro.topology.base.Topology.routes` calls of at most
     :data:`ROUTE_CHUNK` pairs each (in order of first appearance, so a
-    disconnected pair raises as the per-pair walk would), and stores one
-    int64 array per pair.  Each array owns its data, so a spilled
-    :class:`~repro.routing.cache.ShardedRouteCache` shard frees it.
-    Repeated pairs share one array object.  A pair with ``s == d`` gets
-    the shared empty route and is not cached.  ``collector`` times the
-    routing under ``route_construction``.
+    disconnected pair raises as the per-pair walk would), and each is
+    stored as one int64 array.  Each array owns its data, so a spilled
+    :class:`~repro.routing.cache.ShardedRouteCache` shard frees it.  A hit
+    returns the cached object itself, and repeated pairs share one array
+    object.  A pair with ``s == d`` gets the shared empty route and is not
+    cached.  ``collector`` times the routing under ``route_construction``.
     """
     token = _cache_token(topology)
-    num_ep = topology.num_endpoints
-    codes = np.asarray(src, dtype=np.int64) * num_ep + dst
-    uniq, first, inverse = np.unique(codes, return_index=True,
-                                     return_inverse=True)
-    pair_src, pair_dst = np.divmod(uniq, num_ep)
-    keys = [(s, d) if token is None else (s, d, token)
-            for s, d in zip(pair_src.tolist(), pair_dst.tolist())]
+    get = route_cache.get
     found: list[np.ndarray | None] = []
-    missing: list[int] = []
-    for i, key in enumerate(keys):
-        if key[0] == key[1]:
+    # missing key -> its first position in ``found``, in order of first
+    # appearance; later positions of a missing key wait in ``repeats``
+    missing: dict[tuple, int] = {}
+    repeats: list[tuple[int, tuple]] = []
+    for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+        if s == d:
             found.append(_EMPTY_ROUTE)  # co-located tasks: intra-endpoint
             continue
-        route = route_cache.get(key)
+        key = (s, d) if token is None else (s, d, token)
+        route = get(key)
         if route is None:
-            missing.append(i)
+            if key in missing:
+                repeats.append((i, key))
+            else:
+                missing[key] = i
         found.append(route)
     if missing:
         t0 = time.perf_counter()
-        todo = np.asarray(missing, dtype=np.int64)
-        todo = todo[np.argsort(first[todo], kind="stable")]
-        for lo in range(0, todo.shape[0], ROUTE_CHUNK):
+        todo = list(missing.items())
+        first = np.fromiter(missing.values(), dtype=np.int64,
+                            count=len(todo))
+        for lo in range(0, len(todo), ROUTE_CHUNK):
             part = todo[lo:lo + ROUTE_CHUNK]
-            indptr, links = topology.routes(pair_src[part], pair_dst[part])
+            at = first[lo:lo + ROUTE_CHUNK]
+            indptr, links = topology.routes(src[at], dst[at])
             bounds = indptr.tolist()
-            for j, i in enumerate(part.tolist()):
-                found[i] = route_cache[keys[i]] = \
+            for j, (key, i) in enumerate(part):
+                found[i] = route_cache[key] = \
                     links[bounds[j]:bounds[j + 1]].copy()
+        for i, key in repeats:
+            found[i] = found[missing[key]]
         if collector is not None:
             collector.add_time("route_construction",
                                time.perf_counter() - t0)
-    return [found[i] for i in inverse.tolist()]
+    return found
 
 
 def _make_route_fn(topology: Topology, src_ep: np.ndarray, dst_ep: np.ndarray,
@@ -337,6 +343,7 @@ def simulate(topology: Topology, flows: FlowSet, *,
         route_cache = {}
     src_ep = placement[flows.src]
     dst_ep = placement[flows.dst]
+    co_located = src_ep == dst_ep   # zero-hop flows
 
     counters = {"fault_events": 0, "flows_rerouted": 0, "flows_parked": 0,
                 "flows_recovered": 0, "rerouted_bits": 0.0,
@@ -448,25 +455,50 @@ def simulate(topology: Topology, flows: FlowSet, *,
                 collector.flow_injected(float(flows.size[f]), r.shape[0])
         return fids.shape[0]
 
-    succ_indptr = flows.succ_indptr
+    succ_lo = flows.succ_indptr[:-1]
+    succ_hi = flows.succ_indptr[1:]
     succ_indices = flows.succ_indices
+
+    def successors_of(done_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The concatenated successor lists of ``done_ids`` and their
+        lengths."""
+        lo = succ_lo[done_ids]
+        hi = succ_hi[done_ids]
+        return succ_indices[_slices_concat(lo, hi)], hi - lo
+
+    # per-flow scratch of release_ready, -1 between calls
+    last_pos = np.full(n, -1, dtype=np.int64)
+
+    def release_ready(succs: np.ndarray) -> np.ndarray:
+        """Apply a batch's indegree decrements and return the positions in
+        ``succs`` that released a flow, ascending.
+
+        A successor can occur several times in ``succs`` (shared by
+        same-instant completions, or a repeated dependency edge); in a
+        per-flow walk the decrement that drives it to zero is its *last*
+        occurrence, so that is the one position returned for a ready
+        successor, and ascending positions are the walk's trigger order.
+        """
+        np.subtract.at(indegree, succs, 1)
+        pos = np.arange(succs.shape[0], dtype=np.int64)
+        np.maximum.at(last_pos, succs, pos)
+        trig = ((last_pos[succs] == pos)
+                & (indegree[succs] == 0)).nonzero()[0]
+        last_pos[succs] = -1
+        return trig
 
     def admit_batch(ready: np.ndarray, t: float) -> int:
         """Admit a batch of ready flows at ``t`` with a zero seeded rate.
 
-        Zero-hop flows fall back to the per-flow cascade.  Returns the
+        With a zero-hop flow among them the batch falls back to the
+        per-flow cascade, in order, so the flows its completions release
+        are admitted where the per-flow walk admits them.  Returns the
         number of flows that entered the network.
         """
+        if not adaptive and not np.count_nonzero(co_located[ready]):
+            return admit(ready, t)
         admitted = 0
-        if adaptive:
-            for f in ready.tolist():
-                admitted += inject(f, t, 0.0)
-            return admitted
-        zero_hop = src_ep[ready] == dst_ep[ready]
-        routed = ready[~zero_hop]
-        if routed.shape[0]:
-            admitted += admit(routed, t)
-        for f in ready[zero_hop].tolist():
+        for f in ready.tolist():
             admitted += inject(f, t, 0.0)
         return admitted
 
@@ -478,16 +510,13 @@ def simulate(topology: Topology, flows: FlowSet, *,
         read), but the indegree updates and admissions are batched.
         Returns the number of flows admitted to the network.
         """
-        succs = succ_indices[_slices_concat(succ_indptr[done_ids],
-                                            succ_indptr[done_ids + 1])]
+        succs, _ = successors_of(done_ids)
         if succs.shape[0] == 0:
             return 0
-        uniq, cnt = np.unique(succs, return_counts=True)
-        indegree[uniq] -= cnt
-        ready = uniq[indegree[uniq] == 0]
+        ready = succs[release_ready(succs)]
         if ready.shape[0] == 0:
             return 0
-        return admit_batch(ready, t)
+        return admit_batch(np.sort(ready), t)
 
     def release_inherit(done_ids: np.ndarray, done_rates: np.ndarray,
                         t: float) -> int:
@@ -497,8 +526,8 @@ def simulate(topology: Topology, flows: FlowSet, *,
         predecessor whose decrement drove its indegree to zero — in a
         per-flow walk, the *last* occurrence of that successor across the
         batch's concatenated successor lists.  This vectorised path
-        reproduces that pairing (stable sort, last occurrence per unique
-        successor) and admits the released flows in the same trigger
+        reproduces that pairing (:func:`release_ready`'s last-occurrence
+        scatter) and admits the released flows in the same trigger
         order, so the inherited rates are bitwise those of the walk.
         Zero-hop successors complete instantly and cascade decrements
         that interleave with the batch's own, so their presence falls
@@ -507,30 +536,21 @@ def simulate(topology: Topology, flows: FlowSet, *,
         """
         completion[done_ids] = t
         active.remove_many(done_ids)
-        succs = succ_indices[_slices_concat(succ_indptr[done_ids],
-                                            succ_indptr[done_ids + 1])]
+        succs, lens = successors_of(done_ids)
         if succs.shape[0] == 0:
             return 0
-        rep_rates = np.repeat(done_rates,
-                              succ_indptr[done_ids + 1]
-                              - succ_indptr[done_ids])
-        if bool((src_ep[succs] == dst_ep[succs]).any()):
+        rep_rates = np.repeat(done_rates, lens)
+        if np.count_nonzero(co_located[succs]):
             released = 0
             for f, r in zip(succs.tolist(), rep_rates.tolist()):
                 indegree[f] -= 1
                 if indegree[f] == 0:
                     released += inject(f, t, r)
             return released
-        uniq, cnt = np.unique(succs, return_counts=True)
-        indegree[uniq] -= cnt
-        ready_mask = indegree[uniq] == 0
-        if not ready_mask.any():
+        trig = release_ready(succs)
+        if trig.shape[0] == 0:
             return 0
-        order = np.argsort(succs, kind="stable")
-        last_pos = order[np.cumsum(cnt) - 1]   # per unique: last occurrence
-        trig = last_pos[ready_mask]
-        seq = np.argsort(trig, kind="stable")  # back to trigger order
-        return admit(uniq[ready_mask][seq], t, rep_rates[trig[seq]])
+        return admit(succs[trig], t, rep_rates[trig])
 
     def readmit(f: int, route: np.ndarray,
                 batch: list[tuple[int, np.ndarray]]) -> None:
@@ -635,8 +655,8 @@ def simulate(topology: Topology, flows: FlowSet, *,
             active.allocate(stats=stats)
             if collector is not None:
                 assert stats is not None
-                if stats.get("warm"):
-                    reason = "warm"
+                if stats["relevel"]:
+                    reason = "relevel"
                 elif fidelity == "exact":
                     reason = "forced"
                 elif force_alloc:
@@ -653,12 +673,13 @@ def simulate(topology: Topology, flows: FlowSet, *,
 
         ids = active.flow_ids
         rates = active.rates
+        left = remaining[ids]
         with np.errstate(divide="ignore", invalid="ignore"):
             # a zero or NaN rate yields a non-finite deadline, reported as
             # a typed error below — never as a numpy RuntimeWarning
-            deadlines = remaining[ids] / rates
+            deadlines = left / rates
         dt = float(deadlines.min())
-        if not np.isfinite(dt):
+        if not math.isfinite(dt):
             # a rate the allocator froze at a numerically-zero level (or a
             # 0/0 with an already-drained flow) has no defined deadline
             bad = ids[~np.isfinite(deadlines)]
@@ -676,7 +697,7 @@ def simulate(topology: Topology, flows: FlowSet, *,
             if collector is not None:
                 collector.account_event(*active.route_entries(), rates,
                                         dt_fault)
-            remaining[ids] -= rates * dt_fault
+            remaining[ids] = left - rates * dt_fault
             now = next_change
             apply_epoch(now)
             force_alloc = True
@@ -688,14 +709,16 @@ def simulate(topology: Topology, flows: FlowSet, *,
         # absolute+relative tie window: a pure relative one collapses to a
         # no-op when dt == 0 (simultaneous zero-size flows would then churn
         # one event each instead of batching)
-        done_mask = deadlines <= dt + max(dt, 1.0) * _TIE_EPS
+        done = (deadlines <= dt + max(dt, 1.0) * _TIE_EPS).nonzero()[0]
         if collector is not None:
             collector.account_event(*active.route_entries(), rates, dt)
         now += dt
-        remaining[ids] -= rates * dt
+        # charge progress: left - rates * dt, in the deadlines' buffer
+        np.subtract(left, np.multiply(rates, dt, out=deadlines), out=left)
+        remaining[ids] = left
 
-        done_ids = ids[done_mask]        # materialised: removal moves slots
-        done_rates = rates[done_mask]
+        done_ids = ids[done]        # materialised: removal moves slots
+        done_rates = rates[done]
         remaining[done_ids] = 0.0
         released = 0
         if fidelity == "exact":
@@ -714,8 +737,12 @@ def simulate(topology: Topology, flows: FlowSet, *,
                         # rate is inherited by the release (approx mode)
                         released += inject(succ, now, rate)
         else:
-            released = release_inherit(done_ids, done_rates, now)
-        completed_count += int(done_mask.sum())
+            # walk the batch in admission order, the per-flow walk's
+            # order (slot order is not: a removal moves a tail slot down)
+            walk = np.argsort(active.arrivals[done])
+            released = release_inherit(done_ids[walk], done_rates[walk],
+                                       now)
+        completed_count += done_ids.shape[0]
         events += 1
         if events > max_events:
             raise SimulationError(f"exceeded {max_events} events")

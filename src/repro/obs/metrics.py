@@ -16,9 +16,9 @@ What the engine feeds the collector:
   at least one flow);
 * per-allocation **batch size**, **progressive-filling iterations** and
   the trigger (``forced`` for exact mode's per-event reallocation,
-  ``churn``/``initial`` for approx mode's bounded-churn policy, ``warm``
-  for the incremental allocator's relevels, which resume the previous
-  fill after pure removals);
+  ``churn``/``initial`` for approx mode's bounded-churn policy,
+  ``relevel`` for the incremental allocator's relevels, which resume the
+  previous fill after pure removals);
 * **span timers** around route construction, bandwidth allocation, and
   the whole event loop.
 
@@ -35,7 +35,7 @@ import numpy as np
 from repro.errors import ConfigError
 
 #: Schema tag stamped on every snapshot; bump when the layout changes.
-SCHEMA_VERSION = "repro-metrics-v1"
+SCHEMA_VERSION = "repro-metrics-v2"
 
 #: Keys every snapshot must carry to validate.
 _SNAPSHOT_FIELDS = frozenset({
@@ -54,6 +54,7 @@ _ALLOCATOR_FIELDS = frozenset({
     "allocations", "batch_flows_total", "batch_flows_max",
     "filling_iterations_total", "filling_iterations_max",
     "churn_reallocations", "forced_reallocations", "initial_allocations",
+    "relevel_reallocations", "fault_reallocations",
 })
 
 
@@ -81,7 +82,7 @@ class MetricsCollector:
         self.filling_iterations_total = 0
         self.filling_iterations_max = 0
         self.alloc_reasons = {"forced": 0, "churn": 0, "initial": 0,
-                              "warm": 0}
+                              "relevel": 0}
         self.timers_s: dict[str, float] = {}
         self.routing = "deterministic"
         self.transient: dict | None = None
@@ -191,10 +192,8 @@ class MetricsCollector:
                 "churn_reallocations": self.alloc_reasons.get("churn", 0),
                 "forced_reallocations": self.alloc_reasons.get("forced", 0),
                 "initial_allocations": self.alloc_reasons.get("initial", 0),
-                # not in _ALLOCATOR_FIELDS: snapshots written before the
-                # incremental allocator existed must keep validating
-                "warm_reallocations": self.alloc_reasons.get("warm", 0),
-                # likewise post-dates the schema: fault-boundary reallocs
+                "relevel_reallocations": self.alloc_reasons.get("relevel",
+                                                                0),
                 "fault_reallocations": self.alloc_reasons.get("fault", 0),
             },
             "timers_s": {k: float(v) for k, v in sorted(self.timers_s.items())},

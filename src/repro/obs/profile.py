@@ -55,13 +55,13 @@ def timing_table(snapshot: dict) -> str:
             lines.append(f"  {name.replace('_', ' '):>20}: {seconds:9.4f} s")
     mean_batch = (alloc["batch_flows_total"] / alloc["allocations"]
                   if alloc["allocations"] else 0.0)
-    warm = alloc.get("warm_reallocations", 0)
-    warm_note = f", {warm} relevelled" if warm else ""
+    relevel = alloc["relevel_reallocations"]
+    relevel_note = f", {relevel} relevelled" if relevel else ""
     lines.append(
         f"Allocator: {alloc['allocations']} allocations "
         f"({alloc['forced_reallocations']} forced, "
         f"{alloc['churn_reallocations']} churn-triggered, "
-        f"{alloc['initial_allocations']} initial{warm_note}); "
+        f"{alloc['initial_allocations']} initial{relevel_note}); "
         f"mean batch {mean_batch:.1f} flows "
         f"(max {alloc['batch_flows_max']}), "
         f"{alloc['filling_iterations_total']} filling iterations "

@@ -88,6 +88,30 @@ class TestMembership:
         with pytest.raises(SimulationError):
             active.add(0, np.empty(0, dtype=np.int64))
 
+    @pytest.mark.parametrize("fids", [[3, 5, 3], [4, 1], [2, 2]])
+    def test_batch_repeat_rejected_and_rolled_back(self, fids):
+        """A batch naming an id twice, or an id already active, raises
+        and leaves every id's slot as it was."""
+        active = ActiveSet(np.ones(4))
+        active.add(1, np.array([0], dtype=np.int64), rate=2.0)
+        before = active._slot_arr.copy()
+        routes = [np.array([f % 4], dtype=np.int64) for f in fids]
+        with pytest.raises(SimulationError, match="repeats an active flow"):
+            active.add_many(np.asarray(fids), routes)
+        assert active._slot_arr.tolist() == before.tolist()
+        assert active.size == 1 and active.flow_ids.tolist() == [1]
+        # the rejected ids are still free to join
+        active.add_many(np.array([3, 5]), routes[:1] * 2)
+        assert sorted(active.flow_ids.tolist()) == [1, 3, 5]
+
+    def test_batch_empty_route_rejected(self):
+        active = ActiveSet(np.ones(2))
+        with pytest.raises(SimulationError, match="flow 8 has an empty"):
+            active.add_many(np.array([7, 8]),
+                            [np.array([0], dtype=np.int64),
+                             np.empty(0, dtype=np.int64)])
+        assert active.size == 0
+
     def test_nonpositive_weight_rejected(self):
         active = ActiveSet(np.ones(2), weighted=True)
         with pytest.raises(SimulationError):
@@ -102,7 +126,7 @@ class TestMembership:
         active = ActiveSet(np.ones(2))
         stats: dict = {}
         assert active.allocate(stats=stats).shape == (0,)
-        assert stats == {"iterations": 0, "warm": False}
+        assert stats == {"iterations": 0, "relevel": False}
 
 
 class TestChurnMatchesReference:
@@ -447,7 +471,7 @@ class TestWindowedFillProperty:
                             active.weights.copy() if weighted else None,
                             stats=ref_stats)
             assert rates.tolist() == want.tolist()
-            if not stats["warm"]:
+            if not stats["relevel"]:
                 assert stats["iterations"] == ref_stats["iterations"]
             if len(got) <= 8:
                 fids = active.flow_ids.tolist()
@@ -552,7 +576,7 @@ class TestWarmPath:
         active.add(3, r1)
         stats: dict = {}
         got = active.allocate(stats=stats).copy()
-        assert stats["warm"] is False and stats["iterations"] > 0
+        assert stats["relevel"] is False and stats["iterations"] > 0
         assert active.full_passes == 2
         assert active.warm_fills == 0 and active.relevel_fills == 0
         want = _reference_rates(active, caps, weighted=False)
@@ -568,7 +592,7 @@ class TestWarmPath:
         active.add(1, r2)  # an admission: full pass
         stats: dict = {}
         active.allocate(stats=stats)
-        assert stats["warm"] is False
+        assert stats["relevel"] is False
         assert active.full_passes == 2
 
 

@@ -9,6 +9,12 @@ boundaries — except where adaptive routing needs the per-flow walk.
   (:func:`tests.oracle.simulate_rebuild`, the per-flow rebuild-per-event
   engine): 3 workloads x 2 fidelities x 3 routing policies, plus the
   weighted and zero-hop cases.
+* A Hypothesis property drives random DAGs through the release pairing:
+  repeated dependency edges, successors shared by same-instant
+  completions at different rates, and zero-hop flows, against the same
+  oracle.  Two fixed cases pin the walk order it relies on: a batch is
+  walked in admission order, not slot order, and zero-hop roots release
+  their successors where the per-flow walk admits them.
 * Fault-timeline runs have no oracle; they are pinned to the makespan
   (``float.hex``), event, reallocation and recovery counts the separate
   transient event loop produced before it was folded into ``simulate``.
@@ -18,9 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import simulate
+from repro.engine.flows import FlowBuilder
 from repro.topology import FaultTimeline
+from repro.units import DEFAULT_LINK_CAPACITY as CAP
 from repro.workloads import build as build_workload
 from tests.oracle import assert_results_identical, simulate_rebuild
 
@@ -104,6 +114,95 @@ class TestHealthyLoop:
         for fidelity in ("exact", "approx"):
             _against_oracle(topology=small_torus, flows=flows,
                             placement=placement, fidelity=fidelity)
+
+
+def _background(builder: FlowBuilder, task: int) -> None:
+    """Long flows from ``task`` to ``task + 1`` that keep approx mode
+    from reallocating while a test's own flows run."""
+    for _ in range(300):
+        builder.add_flow(task, task + 1, CAP * 1e-3)
+
+
+@st.composite
+def _release_dags(draw):
+    """A random flow DAG built to stress the batched release pairing.
+
+    A :func:`_background` on one other task pair keeps the active set
+    far above the churn bound until the DAG part is done, so approx mode
+    admits released flows with their inherited rate and runs on it (with
+    a small set every event reallocates, and the inherited rate is never
+    read); it shares one route and one size, so it completes in a single
+    event.  The DAG part is groups of flows on a few tasks.  A group's
+    two or three flows share one task pair (a zero-hop pair when the
+    tasks coincide), one predecessor list and one base size, and have
+    weights 1 and 2 (both present) with sizes in proportion.  The first
+    groups are roots: every rate they get comes from a full allocation, so it stays
+    in proportion to the weight, and flows on one bottleneck complete at
+    one instant at different rates.  A later group names one to four
+    flows of one earlier group as predecessors, with repeats (a repeated
+    ``add_dependency`` edge counts twice).
+    """
+    hub = draw(st.integers(2, 4))   # tasks the DAG part lives on
+    builder = FlowBuilder(hub + 2)
+    _background(builder, hub)
+    groups: list[list[int]] = []
+    num_roots = draw(st.integers(1, 4))
+    for g in range(num_roots + draw(st.integers(1, 6))):
+        s = draw(st.integers(0, hub - 1))
+        d = draw(st.integers(0, hub - 1))
+        preds = [] if g < num_roots else draw(st.lists(
+            st.sampled_from(groups[draw(st.integers(0, g - 1))]),
+            min_size=1, max_size=4))
+        size = CAP * draw(st.sampled_from((1e-6, 2e-6)))
+        groups.append([
+            builder.add_flow(s, d, size * weight, after=preds,
+                             weight=weight)
+            for weight in draw(st.permutations((1.0, 2.0)))
+            + draw(st.lists(st.sampled_from((1.0, 2.0)), max_size=1))])
+    return builder.build()
+
+
+class TestReleasePairing:
+    @settings(deadline=None)
+    @given(flows=_release_dags())
+    def test_random_dags_match_oracle(self, small_torus, flows):
+        for fidelity in ("exact", "approx"):
+            _against_oracle(topology=small_torus, flows=flows,
+                            fidelity=fidelity)
+
+    def test_batch_walks_in_admission_order(self, small_torus):
+        """A removal moves the last slot down, so slot order is not
+        admission order.  Here ``a`` completes first and its slot goes to
+        ``c``; ``b`` and ``c`` then complete together at different rates,
+        and ``x`` inherits the rate of ``c``, its last predecessor in
+        admission order."""
+        builder = FlowBuilder(4)
+        _background(builder, 2)
+        builder.add_flow(0, 1, CAP * 1e-6)                        # a
+        b = builder.add_flow(1, 0, CAP * 1e-6)
+        c = builder.add_flow(1, 0, CAP * 2e-6, weight=2.0)
+        x = builder.add_flow(0, 1, CAP * 1e-6, after=[c, b])
+        flows = builder.build()
+        result = _against_oracle(topology=small_torus, flows=flows,
+                                 fidelity="approx")
+        assert result.completion_times[b] == result.completion_times[c]
+        assert result.start_times[x] == result.completion_times[c]
+
+    def test_zero_hop_roots_admit_in_walk_order(self, small_torus):
+        """A zero-hop root completes at time 0 and releases ``x`` before
+        the later root ``c`` is admitted; ``x`` and ``c`` complete
+        together at different rates, and ``y`` inherits the rate of
+        ``c``, its last predecessor in admission order."""
+        builder = FlowBuilder(4)
+        _background(builder, 2)
+        a = builder.add_flow(0, 0, CAP * 1e-6)                    # zero-hop
+        x = builder.add_flow(1, 0, CAP * 1e-6, after=[a])
+        c = builder.add_flow(1, 0, CAP * 2e-6, weight=2.0)
+        builder.add_flow(0, 1, CAP * 1e-6, after=[x, c])
+        flows = builder.build()
+        result = _against_oracle(topology=small_torus, flows=flows,
+                                 fidelity="approx")
+        assert result.completion_times[x] == result.completion_times[c]
 
 
 class TestTransientLoop:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestInfo:
@@ -89,6 +89,32 @@ class TestParsing:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--jobs", "3", "--checkpoint", "store", "--resume",
+         "--cell-timeout", "2.5", "--metrics", "m.jsonl", "--quiet"],
+    ])
+    def test_runner_options_shared(self, flags):
+        """fig4, campaign and optimize declare the runner options once:
+        same dests, same defaults, same parsed values."""
+        runner = ("jobs", "checkpoint", "resume", "cell_timeout", "metrics",
+                  "quiet")
+        parser = build_parser()
+        seen = []
+        for argv in (["fig4"], ["campaign", "--workload", "allreduce"],
+                     ["optimize"]):
+            args = vars(parser.parse_args(argv + flags))
+            seen.append({k: args[k] for k in runner})
+        assert seen[0] == seen[1] == seen[2]
+        if flags:
+            assert seen[0] == {"jobs": 3, "checkpoint": "store",
+                               "resume": True, "cell_timeout": 2.5,
+                               "metrics": "m.jsonl", "quiet": True}
+        else:
+            assert seen[0] == {"jobs": 1, "checkpoint": None,
+                               "resume": False, "cell_timeout": None,
+                               "metrics": None, "quiet": False}
 
 
 class TestComparatorFamilies:

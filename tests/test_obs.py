@@ -329,7 +329,7 @@ class TestZeroRateGuard:
         def zero_allocate(self, stats=None):
             if stats is not None:
                 stats["iterations"] = 0
-                stats["warm"] = False
+                stats["relevel"] = False
             self._rates[:self._m] = 0.0
             return self._rates[:self._m]
 

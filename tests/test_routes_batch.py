@@ -208,6 +208,40 @@ class TestRouteCache:
         for r, s, d in zip(got, src.tolist(), dst.tolist()):
             assert r.tolist() == (topo.route(s, d) if s != d else [])
 
+    def test_mixed_batch_hits_misses_repeats_and_zero_hop(self):
+        topo = build("torus", 64)
+
+        class Timer:
+            def __init__(self):
+                self.calls = []
+
+            def add_time(self, name, seconds):
+                self.calls.append(name)
+
+        hit = np.asarray(topo.route(4, 17), dtype=np.int64)
+        cache = {(4, 17): hit}
+        #        hit     miss    zero   miss    hit     miss    zero
+        src = np.array([4, 9, 2, 30, 4, 9, 6])
+        dst = np.array([17, 3, 2, 11, 17, 3, 6])
+        timer = Timer()
+        got = cached_routes(topo, src, dst, cache, timer)
+        assert timer.calls == ["route_construction"]
+        assert set(cache) == {(4, 17), (9, 3), (30, 11)}
+        assert got[0] is hit and got[4] is hit
+        assert got[1] is got[5] and got[1] is cache[(9, 3)]
+        assert got[3] is cache[(30, 11)]
+        assert got[2] is simulator._EMPTY_ROUTE
+        assert got[6] is simulator._EMPTY_ROUTE
+        for r, s, d in zip(got, src.tolist(), dst.tolist()):
+            assert r.dtype == np.int64
+            assert r.tolist() == (topo.route(s, d) if s != d else [])
+
+        # the same batch again is all hits (or zero-hop): nothing is
+        # routed, and nothing is timed
+        again = cached_routes(topo, src, dst, cache, timer)
+        assert timer.calls == ["route_construction"]
+        assert all(a is b for a, b in zip(again, got))
+
     def test_analyze_fills_the_simulator_keys(self):
         topo = build("fattree", 64)
         flows = build_workload("allreduce", 64).build()
