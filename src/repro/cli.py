@@ -325,17 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--batch-max", type=int, default=32,
                     help="cells drained into one simulation batch "
                          "(default 32)")
-    pv.add_argument("--route-cache", choices=("auto", "dict", "sharded"),
-                    default=None,
-                    help="route-cache mode for the simulation workers "
-                         "(default auto: sharded at 65,536 endpoints and "
-                         "above)")
-    pv.add_argument("--route-cache-resident", type=int, default=None,
-                    metavar="N",
-                    help="pool-wide resident route-cache shard budget, "
-                         "split across --jobs workers (0 = unbounded)")
-    pv.add_argument("--route-cache-dir", default=None, metavar="DIR",
-                    help="spill directory for sharded route caches")
 
     pb = sub.add_parser(
         "submit",
@@ -565,10 +554,6 @@ def _validate_serve(parser: argparse.ArgumentParser,
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         parser.error(f"--cell-timeout must be a positive number of "
                      f"seconds, got {args.cell_timeout}")
-    if args.route_cache_resident is not None \
-            and args.route_cache_resident < 0:
-        parser.error(f"--route-cache-resident must be >= 0 "
-                     f"(0 = unbounded), got {args.route_cache_resident}")
     _parse_weights(parser, args.weight)
 
 
@@ -977,17 +962,8 @@ def _run_serve(args: argparse.Namespace) -> None:
     """
     import asyncio
 
-    from repro.routing.cache import DEFAULT_RESIDENT, RouteCacheConfig
     from repro.service import Broker, ResultStore, ServiceServer
 
-    cache_config = None
-    if args.route_cache is not None or args.route_cache_resident is not None \
-            or args.route_cache_dir is not None:
-        cache_config = RouteCacheConfig(
-            mode=args.route_cache or "auto",
-            resident=DEFAULT_RESIDENT if args.route_cache_resident is None
-            else args.route_cache_resident,
-            spill_dir=args.route_cache_dir)
     weights = {}
     for spec in args.weight:
         tenant, _, value = spec.partition("=")
@@ -1000,7 +976,7 @@ def _run_serve(args: argparse.Namespace) -> None:
             seed=args.seed, capacity=args.capacity,
             weights=weights or None, jobs=args.jobs,
             cell_timeout=args.cell_timeout, metrics_path=args.metrics,
-            route_cache_config=cache_config, batch_max=args.batch_max)
+            batch_max=args.batch_max)
         server = ServiceServer(broker, args.host, args.port)
         host, port = await server.start()
         print(f"repro service listening on {host}:{port} "

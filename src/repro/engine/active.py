@@ -395,7 +395,8 @@ class ActiveSet:
         Equivalent to calling :meth:`remove` per flow (return values
         aside); the freed low slots are refilled with the surviving tail
         slots so the set stays dense, with O(moved slots) Python work
-        instead of O(flows).
+        instead of O(flows).  A repeated or inactive id raises
+        :class:`~repro.errors.SimulationError` before anything changes.
         """
         k = fids.shape[0]
         if k == 0:
@@ -406,8 +407,17 @@ class ActiveSet:
         fids = np.asarray(fids, dtype=np.int64)
         if fids.min() < 0 or int(fids.max()) >= self._slot_arr.shape[0]:
             raise SimulationError("batch removal names an inactive flow")
-        slots = self._slot_arr[fids]
-        if (slots < 0).any() or np.unique(slots).shape[0] != k:
+        slot_arr = self._slot_arr
+        slots = slot_arr[fids]
+        if (slots < 0).any():
+            raise SimulationError("batch removal names an inactive flow")
+        # scatter each id's batch position and read it back: a repeated
+        # id keeps only its last position, so an earlier occurrence reads
+        # back a mismatch (the marks are negative: the ids go inactive)
+        marks = np.arange(-2, -2 - k, -1, dtype=np.int64)
+        slot_arr[fids] = marks
+        if np.count_nonzero(slot_arr[fids] != marks):
+            slot_arr[fids] = slots
             raise SimulationError("batch removal names an inactive flow")
 
         starts = self._starts[slots]

@@ -85,7 +85,7 @@ ROUTE_CHUNK = 65_536
 
 
 def _cache_token(topology: Topology):
-    """The route-cache key suffix of a topology: its fault set's
+    """The route cache key suffix of a topology: its fault set's
     :meth:`~repro.topology.degraded.FaultSet.cache_token`, ``None`` when
     healthy."""
     faults = getattr(topology, "faults", None)
@@ -103,11 +103,13 @@ def cached_routes(topology: Topology, src: np.ndarray, dst: np.ndarray,
     :meth:`~repro.topology.base.Topology.routes` calls of at most
     :data:`ROUTE_CHUNK` pairs each (in order of first appearance, so a
     disconnected pair raises as the per-pair walk would), and each is
-    stored as one int64 array.  Each array owns its data, so a spilled
-    :class:`~repro.routing.cache.ShardedRouteCache` shard frees it.  A hit
-    returns the cached object itself, and repeated pairs share one array
-    object.  A pair with ``s == d`` gets the shared empty route and is not
-    cached.  ``collector`` times the routing under ``route_construction``.
+    stored as its row of the chunk's CSR, a view rather than a copy:
+    every row of a chunk is stored, so the shared buffer holds nothing
+    uncached, and each ``routes`` implementation returns a fresh buffer
+    per call.  A hit returns the cached object itself, and repeated pairs
+    share one array object.  A pair with ``s == d`` gets the shared empty
+    route and is not cached.  ``collector`` times the routing under
+    ``route_construction``.
     """
     token = _cache_token(topology)
     get = route_cache.get
@@ -139,8 +141,7 @@ def cached_routes(topology: Topology, src: np.ndarray, dst: np.ndarray,
             indptr, links = topology.routes(src[at], dst[at])
             bounds = indptr.tolist()
             for j, (key, i) in enumerate(part):
-                found[i] = route_cache[key] = \
-                    links[bounds[j]:bounds[j + 1]].copy()
+                found[i] = route_cache[key] = links[bounds[j]:bounds[j + 1]]
         for i, key in repeats:
             found[i] = found[missing[key]]
         if collector is not None:

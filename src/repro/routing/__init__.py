@@ -18,10 +18,8 @@ with the deterministic one first; the topologies assemble these into
 :meth:`repro.topology.base.Topology.route_candidates`.
 """
 
-from repro.routing import cache, dor, ecube, policy, updown
-from repro.routing.cache import ShardedRouteCache, make_route_cache
+from repro.routing import dor, ecube, policy, updown
 from repro.routing.policy import ROUTING_POLICIES, validate_policy
 
-__all__ = ["ROUTING_POLICIES", "ShardedRouteCache", "cache", "dor",
-           "ecube", "make_route_cache", "policy", "updown",
+__all__ = ["ROUTING_POLICIES", "dor", "ecube", "policy", "updown",
            "validate_policy"]

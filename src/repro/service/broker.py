@@ -33,7 +33,6 @@ from collections import OrderedDict
 from typing import Iterable
 
 from repro.errors import ConfigError, ReproError
-from repro.routing.cache import RouteCacheConfig
 from repro.service.scheduler import FairScheduler
 from repro.service.store import ResultStore, content_digest
 from repro.sweep.plan import SweepCell, SweepPlan
@@ -70,7 +69,6 @@ class Broker:
                  jobs: int = 1,
                  cell_timeout: float | None = None,
                  metrics_path: str | None = None,
-                 route_cache_config: RouteCacheConfig | None = None,
                  batch_max: int = DEFAULT_BATCH_MAX) -> None:
         if endpoints < 2:
             raise ConfigError(
@@ -86,7 +84,6 @@ class Broker:
         self.jobs = jobs
         self.cell_timeout = cell_timeout
         self.metrics_path = metrics_path
-        self.route_cache_config = route_cache_config
         self.batch_max = batch_max
         self._scheduler = FairScheduler(capacity, weights=weights)
         #: digest -> future of every queued or in-flight cell
@@ -269,8 +266,7 @@ class Broker:
                         metrics_path=self.metrics_path,
                         metrics_append=True,
                         failures_out=failures,
-                        results_out=results,
-                        route_cache_config=self.route_cache_config))
+                        results_out=results))
                 except ReproError as exc:
                     # a batch-level failure (not per-cell): fail every
                     # waiter with the typed error, cache nothing

@@ -10,7 +10,7 @@ disk without simulating.  ``repro serve`` answers from it, and a sweep's
 ``--checkpoint DIR`` is the same store: a ``fig4`` run warms the service
 and the service warms a resumed sweep.
 
-Durability mirrors :class:`~repro.routing.cache.ShardedRouteCache`:
+Durability:
 
 * one JSON file per record, fanned into 256 two-hex-digit
   subdirectories so a million-record store never puts a million entries

@@ -2,7 +2,7 @@
 
 :class:`~repro.sweep.plan.SweepPlan` declares the cells of a sweep, and
 :func:`~repro.sweep.runner.run_sweep` executes them (in-process or across a
-process pool, with per-worker topology and route-cache reuse).  A
+process pool, with per-worker topology and route cache reuse).  A
 ``checkpoint`` directory is a :class:`~repro.service.store.ResultStore`
 — the store ``repro serve`` answers from — holding each completed cell
 under its content digest, so interrupted sweeps resume instead of

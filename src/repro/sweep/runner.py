@@ -11,7 +11,8 @@ cost, so cells are grouped *by topology* and whole groups are placed on a
 shared task queue (largest first).  Workers pull one group at a time,
 build its topology once and keep one route cache per ``(topology, fault
 set)``, shared by every workload replayed on that machine — the same
-warm-start the serial explorer gets from its in-process caches.
+warm-start the serial explorer gets from its in-process caches.  Both
+paths keep these caches in one :class:`_SweepContext`.
 
 Each worker talks to the parent over its own duplex pipe — the parent
 assigns groups and the worker streams results back.  Nothing is shared
@@ -51,7 +52,7 @@ import os
 import time
 import traceback
 from collections import deque
-from collections.abc import Callable, MutableMapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 
@@ -61,7 +62,6 @@ from repro.core.explorer import RunRecord
 from repro.engine import simulate
 from repro.errors import ReproError, SimulationError
 from repro.mapping import placement as placement_mod
-from repro.routing.cache import RouteCacheConfig, make_route_cache
 from repro.sweep.plan import SweepCell, SweepPlan
 from repro.topology.base import Topology
 from repro.topology.degraded import DegradedTopology, FaultSet
@@ -94,7 +94,6 @@ def run_sweep(plan: SweepPlan, *,
               metrics_append: bool = False,
               failures_out: dict[str, dict] | None = None,
               results_out: dict[str, dict] | None = None,
-              route_cache_config: RouteCacheConfig | None = None,
               ) -> list[RunRecord]:
     """Execute a sweep plan and return its records in plan order.
 
@@ -159,14 +158,6 @@ def run_sweep(plan: SweepPlan, *,
         cell key — resumed cells included.  The result store persists
         these documents verbatim; the returned :class:`RunRecord` list is
         a narrower projection.
-    route_cache_config:
-        Explicit per-run route-cache policy
-        (:class:`~repro.routing.cache.RouteCacheConfig`).  In parallel
-        mode the config's resident-shard budget is the budget of the
-        *whole pool*: each worker receives ``config.for_worker(...)`` —
-        its even share — so a sweep's total resident set stays bounded
-        regardless of ``jobs``.  ``None`` gives every worker the default
-        :class:`RouteCacheConfig` (a per-worker budget).
     """
     if jobs < 1:
         raise SimulationError(f"jobs must be >= 1, got {jobs}")
@@ -202,11 +193,11 @@ def run_sweep(plan: SweepPlan, *,
         if jobs == 1:
             records = _run_serial(plan, pending, save, log,
                                   topology_provider, keep_going, cell_timeout,
-                                  failures, stream, route_cache_config)
+                                  failures, stream)
         else:
             records = _run_parallel(plan, pending, save, log, jobs,
                                     keep_going, cell_timeout,
-                                    failures, stream, route_cache_config)
+                                    failures, stream)
     finally:
         if stream is not None:
             stream.close()
@@ -301,18 +292,68 @@ def _workload_key(cell: SweepCell) -> tuple[str, int | None, str]:
             json.dumps(wspec.params, sort_keys=True))
 
 
-def _cell_topology(cell: SweepCell, base: Topology,
-                   degraded_cache: dict[str, Topology]) -> Topology:
-    """The (possibly fault-wrapped) topology a cell simulates on."""
-    if not cell.has_faults():
-        return base
-    key = cell.cache_key()
-    if key not in degraded_cache:
-        degraded_cache[key] = DegradedTopology(
-            base, FaultSet.sample(base, cables=cell.fail_links,
-                                  uplinks=cell.fail_uplinks,
-                                  seed=cell.fail_seed))
-    return degraded_cache[key]
+class _SweepContext:
+    """The caches one sweep process keeps between cells.
+
+    Prepared workloads (flows and placement), built topologies, their
+    fault-wrapped :class:`~repro.topology.degraded.DegradedTopology`
+    views, and one plain route dict per :meth:`SweepCell.cache_key` —
+    a ``(topology, fault set)`` — shared by every workload run on it.
+
+    ``topology_provider`` replaces the context's own topology builds (the
+    explorer passes its caching builder).  With ``keep_topologies`` every
+    topology's caches live as long as the context, as the serial path
+    needs; without it (a worker, which holds one topology group at a
+    time) a new topology label drops the previous topology, its views and
+    its route caches.  Prepared workloads are kept either way.
+    """
+
+    def __init__(self, plan: SweepPlan, *,
+                 topology_provider: Callable[..., Topology] | None = None,
+                 keep_topologies: bool = True,
+                 collect_metrics: bool = False,
+                 log: Callable[[str], None] | None = None) -> None:
+        self.plan = plan
+        self.flows: _FlowsCache = {}
+        self._provider = topology_provider
+        self._keep = keep_topologies
+        self._collect = collect_metrics
+        self._log = log
+        self._topologies: dict[str, Topology] = {}
+        self._degraded: dict[str, Topology] = {}
+        self._routes: dict[str, dict] = {}
+
+    def _base(self, cell: SweepCell) -> Topology:
+        if self._provider is not None:
+            return self._provider(cell.topology)
+        label = cell.topology.label()
+        if label not in self._topologies:
+            if not self._keep:
+                self._topologies.clear()
+                self._degraded.clear()
+                self._routes.clear()
+            if self._log is not None:
+                self._log(f"building {label} @ {self.plan.endpoints} "
+                          f"endpoints")
+            self._topologies[label] = cell.topology.build(self.plan.endpoints)
+        return self._topologies[label]
+
+    def run(self, cell: SweepCell) -> dict:
+        """Simulate one cell, fault-wrapped when it has faults, through
+        the module-level :func:`_run_cell` (looked up per call, so a
+        patched ``_run_cell`` is honoured)."""
+        topo = self._base(cell)
+        if cell.has_faults():
+            key = cell.cache_key()
+            if key not in self._degraded:
+                self._degraded[key] = DegradedTopology(
+                    topo, FaultSet.sample(topo, cables=cell.fail_links,
+                                          uplinks=cell.fail_uplinks,
+                                          seed=cell.fail_seed))
+            topo = self._degraded[key]
+        return _run_cell(self.plan, cell, topo, self.flows,
+                         self._routes.setdefault(cell.cache_key(), {}),
+                         collect_metrics=self._collect)
 
 
 def _run_cell(plan: SweepPlan, cell: SweepCell, topology: Topology,
@@ -415,24 +456,9 @@ def _run_serial(plan: SweepPlan, pending: list[SweepCell],
                 topology_provider: Callable[..., Topology] | None,
                 keep_going: bool, cell_timeout: float | None,
                 failures: dict[str, dict],
-                stream=None,
-                cache_config: RouteCacheConfig | None = None
-                ) -> dict[str, dict]:
-    collect = stream is not None
-    if topology_provider is None:
-        topologies: dict[str, Topology] = {}
-
-        def topology_provider(tspec):
-            label = tspec.label()
-            if label not in topologies:
-                if log is not None:
-                    log(f"building {label} @ {plan.endpoints} endpoints")
-                topologies[label] = tspec.build(plan.endpoints)
-            return topologies[label]
-
-    flows_cache: _FlowsCache = {}
-    degraded_cache: dict[str, Topology] = {}
-    route_caches: dict[str, MutableMapping] = {}
+                stream=None) -> dict[str, dict]:
+    ctx = _SweepContext(plan, topology_provider=topology_provider,
+                        collect_metrics=stream is not None, log=log)
     records: dict[str, dict] = {}
     current_workload: tuple[str, int | None, str] | None = None
 
@@ -446,21 +472,13 @@ def _run_serial(plan: SweepPlan, pending: list[SweepCell],
     for cell in pending:
         wkey = _workload_key(cell)
         if wkey != current_workload:
-            flows, _, tasks = _prepare_workload(plan, cell, flows_cache)
+            flows, _, tasks = _prepare_workload(plan, cell, ctx.flows)
             if log is not None:
                 log(f"workload {cell.workload.name}: {flows.num_flows} "
                     f"flows, {tasks} tasks")
             current_workload = wkey
         try:
-            topo = _cell_topology(cell, topology_provider(cell.topology),
-                                  degraded_cache)
-            doc = _run_cell(plan, cell, topo, flows_cache,
-                            route_caches.setdefault(
-                                cell.cache_key(),
-                                make_route_cache(plan.endpoints,
-                                                 config=cache_config,
-                                                 namespace=cell.cache_key())),
-                            collect_metrics=collect)
+            doc = ctx.run(cell)
         except ReproError as exc:
             if not keep_going:
                 raise
@@ -501,8 +519,7 @@ def _group_cells(pending: list[SweepCell]) -> list[list[SweepCell]]:
 
 
 def _sweep_worker(plan: SweepPlan, conn, worker_id: int,
-                  collect_metrics: bool = False,
-                  cache_config: RouteCacheConfig | None = None) -> None:
+                  collect_metrics: bool = False) -> None:
     """Worker loop: receive topology groups, build once, run their cells.
 
     The worker owns one end of a duplex pipe.  The parent sends
@@ -513,11 +530,8 @@ def _sweep_worker(plan: SweepPlan, conn, worker_id: int,
     aborts via a ``fatal`` message.
     """
     try:
-        flows_cache: _FlowsCache = {}
-        current_label: str | None = None
-        base: Topology | None = None
-        degraded_cache: dict[str, Topology] = {}
-        route_caches: dict[str, MutableMapping] = {}
+        ctx = _SweepContext(plan, keep_topologies=False,
+                            collect_metrics=collect_metrics)
         while True:
             try:
                 msg = conn.recv()
@@ -529,21 +543,7 @@ def _sweep_worker(plan: SweepPlan, conn, worker_id: int,
             for cell in cells:
                 conn.send(("start", cell.key()))
                 try:
-                    label = cell.topology.label()
-                    if label != current_label:
-                        base = cell.topology.build(plan.endpoints)
-                        current_label = label
-                        degraded_cache = {}
-                        route_caches = {}
-                    topo = _cell_topology(cell, base, degraded_cache)
-                    doc = _run_cell(
-                        plan, cell, topo, flows_cache,
-                        route_caches.setdefault(
-                            cell.cache_key(),
-                            make_route_cache(plan.endpoints,
-                                             config=cache_config,
-                                             namespace=cell.cache_key())),
-                        collect_metrics=collect_metrics)
+                    doc = ctx.run(cell)
                 except ReproError as exc:
                     conn.send(("cellerror",
                                _error_doc(cell, type(exc).__name__,
@@ -576,9 +576,7 @@ def _run_parallel(plan: SweepPlan, pending: list[SweepCell],
                   log: Callable[[str], None] | None,
                   jobs: int, keep_going: bool, cell_timeout: float | None,
                   failures: dict[str, dict],
-                  stream=None,
-                  cache_config: RouteCacheConfig | None = None
-                  ) -> dict[str, dict]:
+                  stream=None) -> dict[str, dict]:
     if not pending:
         return {}
     collect = stream is not None
@@ -596,12 +594,8 @@ def _run_parallel(plan: SweepPlan, pending: list[SweepCell],
     def spawn() -> None:
         nonlocal next_wid
         parent_conn, child_conn = ctx.Pipe()
-        # each worker gets its slice of the pool-wide route-cache budget
-        worker_cache = None if cache_config is None \
-            else cache_config.for_worker(next_wid, jobs)
         proc = ctx.Process(target=_sweep_worker,
-                           args=(plan, child_conn, next_wid, collect,
-                                 worker_cache),
+                           args=(plan, child_conn, next_wid, collect),
                            daemon=True)
         proc.start()
         child_conn.close()

@@ -106,7 +106,7 @@ class FaultSet:
                 "uplink_ports": sorted(self.failed_uplinks)}
 
     def cache_token(self) -> tuple:
-        """Hashable identity of this fault set, for route-cache keys.
+        """Hashable identity of this fault set, for route cache keys.
 
         Two fault sets with the same token produce identical reroutes on
         the same base topology; distinct tokens keep a shared route cache

@@ -13,7 +13,7 @@ machine's state at job start (equivalent to a static fault set); later
 events fire inside the event loop.  :meth:`FaultTimeline.epochs` folds the
 events into cumulative :class:`TimelineEpoch` states — each carrying the
 full :class:`~repro.topology.degraded.FaultSet` in force from its start
-time — which is what the engine and the route-cache keys consume: a
+time — which is what the engine and the route cache keys consume: a
 repaired machine's epoch has a *smaller* fault set, and a fully-healed
 epoch reuses the healthy cache partition outright.
 

@@ -122,6 +122,26 @@ class TestMembership:
         with pytest.raises(SimulationError):
             active.remove(99)
 
+    @pytest.mark.parametrize("fids", [[3, 5, 3], [5, 5], [3, 2], [1, 99]],
+                             ids=["repeat", "repeat-only", "inactive",
+                                  "unknown"])
+    def test_batch_removal_rejected_and_untouched(self, fids):
+        """A removal batch naming an id twice, or an id not active,
+        raises and mutates nothing."""
+        active = ActiveSet(np.ones(4))
+        for fid in (1, 3, 5):
+            active.add(fid, np.array([fid % 4], dtype=np.int64),
+                       rate=float(fid))
+        ids, rates = active.flow_ids.copy(), active.rates.copy()
+        slots = active._slot_arr.copy()
+        with pytest.raises(SimulationError, match="names an inactive flow"):
+            active.remove_many(np.asarray(fids))
+        assert active.flow_ids.tolist() == ids.tolist()
+        assert active.rates.tolist() == rates.tolist()
+        assert active._slot_arr.tolist() == slots.tolist()
+        active.remove_many(np.array([3, 5]))
+        assert active.flow_ids.tolist() == [1]
+
     def test_empty_allocation_is_noop(self):
         active = ActiveSet(np.ones(2))
         stats: dict = {}

@@ -17,7 +17,6 @@ from repro.engine import analyze, simulate
 from repro.engine import simulator
 from repro.engine.simulator import _make_route_fn, cached_routes
 from repro.errors import DegradedNetworkError, RoutingError, TopologyError
-from repro.routing.cache import ShardedRouteCache
 from repro.topology import DegradedTopology, FaultSet, available, build
 from repro.topology.hybrid import SubtorusPlan
 from repro.workloads import build as build_workload
@@ -149,17 +148,14 @@ class TestInputs:
 
 
 class TestRouteCache:
-    @pytest.mark.parametrize("make_cache", [
-        dict, lambda: ShardedRouteCache(shards=8, max_resident=None)],
-        ids=["dict", "sharded"])
-    def test_batched_fill_serves_scalar_lookups(self, make_cache):
+    def test_batched_fill_serves_scalar_lookups(self):
         topo = build("nesttree", 64, t=2, u=4)
         rng = np.random.default_rng(1)
         src_ep = rng.integers(0, 64, 300)
         dst_ep = rng.integers(0, 64, 300)
         dst_ep[:5] = src_ep[:5]                       # zero-hop flows
         src_ep[5:10], dst_ep[5:10] = 3, 40           # one repeated pair
-        cache = make_cache()
+        cache: dict = {}
         route_of, routes_of = _make_route_fn(topo, src_ep, dst_ep, cache,
                                              None, "deterministic")
         fids = np.arange(300)

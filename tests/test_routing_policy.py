@@ -182,7 +182,7 @@ class TestDeterministicIdentity:
 
 
 class TestSharedCacheIsolation:
-    """The consolidated route-cache fill: no cross-policy/fault poisoning."""
+    """The consolidated route cache fill: no cross-policy/fault poisoning."""
 
     def topo(self):
         return build("nesttree", 64, t=2, u=4)

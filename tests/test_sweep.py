@@ -196,6 +196,33 @@ class TestGroupCells:
         assert sizes == sorted(sizes, reverse=True)
 
 
+class TestSweepContext:
+    """A sweep process's caches: the serial path keeps every topology's,
+    a worker drops them when the topology label changes."""
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["serial", "worker"])
+    def test_retention(self, monkeypatch, keep):
+        import repro.sweep.runner as runner_mod
+
+        plan = make_explorer().plan(["reduce"])
+        by_label = {}
+        for cell in plan.cells:
+            by_label.setdefault(cell.topology.label(), cell)
+        a, b = list(by_label.values())[:2]
+        seen = []
+        monkeypatch.setattr(
+            runner_mod, "_run_cell",
+            lambda plan, cell, topo, flows, routes, **kw:
+            seen.append((topo, routes)))
+        ctx = runner_mod._SweepContext(plan, keep_topologies=keep)
+        for cell in (a, b, a):
+            ctx.run(cell)
+        (topo_a, routes_a), (topo_b, routes_b), (topo_a2, routes_a2) = seen
+        assert topo_a is not topo_b and routes_a is not routes_b
+        assert (topo_a2 is topo_a) == keep
+        assert (routes_a2 is routes_a) == keep
+
+
 class TestResultsOut:
     """results_out hands back the raw cell documents the store keeps."""
 
