@@ -15,6 +15,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.engine.flows import FlowBuilder, FlowSet
 from repro.units import KiB
 from repro.workloads.base import HEAVY, LIGHT, Workload
@@ -39,9 +41,9 @@ class Reduce(Workload):
 
     def build(self) -> FlowSet:
         b = FlowBuilder(self.num_tasks)
-        for t in range(self.num_tasks):
-            if t != self.root:
-                b.add_flow(t, self.root, self.message_size)
+        senders = np.arange(self.num_tasks, dtype=np.int64)
+        b.add_flows(senders[senders != self.root], self.root,
+                    self.message_size)
         return b.build()
 
 
@@ -65,42 +67,43 @@ class AllReduce(Workload):
         self.message_size = message_size
 
     def build(self) -> FlowSet:
+        # One batch per phase and step, with each step's dependencies
+        # added in rank order right after its flows: the same flow ids and
+        # the same dependency order (hence CSR successor order) as adding
+        # rank by rank.
         b = FlowBuilder(self.num_tasks)
         t = self.num_tasks
+        size = self.message_size
         power = 1
         while power * 2 <= t:
             power *= 2
+        ranks = np.arange(power, dtype=np.int64)
+        mirrors = ranks[:t - power]
 
         # pre-phase: ranks >= power fold their data into a mirror rank
-        pre: dict[int, int] = {}
-        for extra in range(power, t):
-            pre[extra - power] = b.add_flow(extra, extra - power,
-                                            self.message_size)
+        pre = b.add_flows(mirrors + power, mirrors, size)
 
-        # doubling phase: sends[r] is rank r's flow of the previous step
-        sends: dict[int, int] = {}
-        step = 1
+        # doubling phase: sends[r] is rank r's flow of the previous step;
+        # a step's send waits on the rank's own previous send and on its
+        # previous partner's (the message it received)
+        sends = b.add_flows(ranks, ranks ^ 1, size)
+        b.add_dependencies(pre, sends[mirrors])
+        step = 2
         while step < power:
-            new_sends: dict[int, int] = {}
-            for rank in range(power):
-                partner = rank ^ step
-                after: list[int] = []
-                if sends:
-                    prev_partner = rank ^ (step // 2)
-                    after = [sends[rank], sends[prev_partner]]
-                elif rank in pre:
-                    after = [pre[rank]]
-                new_sends[rank] = b.add_flow(rank, partner,
-                                             self.message_size, after=after)
+            new_sends = b.add_flows(ranks, ranks ^ step, size)
+            b.add_dependencies(_pairs(sends, sends[ranks ^ (step // 2)]),
+                               np.repeat(new_sends, 2))
             sends = new_sends
             step *= 2
 
         # post-phase: mirrors push the final value back to folded ranks
         last_step = step // 2
-        for extra in range(power, t):
-            mirror = extra - power
-            after = []
-            if sends:
-                after = [sends[mirror], sends[mirror ^ last_step]]
-            b.add_flow(mirror, extra, self.message_size, after=after)
+        post = b.add_flows(mirrors, mirrors + power, size)
+        b.add_dependencies(_pairs(sends[mirrors], sends[mirrors ^ last_step]),
+                           np.repeat(post, 2))
         return b.build()
+
+
+def _pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Interleave two equal-length arrays: first[0], second[0], first[1], ..."""
+    return np.stack((first, second), axis=1).ravel()

@@ -2,12 +2,51 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.engine import simulate
+from repro.engine.flows import FlowBuilder
 from repro.topology import TorusTopology
 from repro.units import DEFAULT_LINK_CAPACITY as CAP
 from repro.workloads import AllReduce, Reduce
+
+
+def reference_allreduce(t: int, size: float) -> FlowBuilder:
+    """Rank-by-rank recursive doubling through scalar builder calls: the
+    loop the batched ``AllReduce.build`` must reproduce bitwise."""
+    b = FlowBuilder(t)
+    power = 1
+    while power * 2 <= t:
+        power *= 2
+    pre = {extra - power: b.add_flow(extra, extra - power, size)
+           for extra in range(power, t)}
+    sends: dict[int, int] = {}
+    step = 1
+    while step < power:
+        new_sends = {}
+        for rank in range(power):
+            if sends:
+                after = [sends[rank], sends[rank ^ (step // 2)]]
+            else:
+                after = [pre[rank]] if rank in pre else []
+            new_sends[rank] = b.add_flow(rank, rank ^ step, size, after=after)
+        sends = new_sends
+        step *= 2
+    for extra in range(power, t):
+        mirror = extra - power
+        b.add_flow(mirror, extra, size,
+                   after=[sends[mirror], sends[mirror ^ (step // 2)]])
+    return b
+
+
+def assert_flowsets_equal(a, b):
+    assert a.num_tasks == b.num_tasks
+    for name in ("src", "dst", "size", "weight", "indegree", "succ_indptr",
+                 "succ_indices"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
 
 
 class TestReduce:
@@ -20,6 +59,15 @@ class TestReduce:
         fs = Reduce(16, root=3).build()
         assert (fs.dst == 3).all()
         assert 3 not in fs.src
+
+    @pytest.mark.parametrize("root", [0, 5, 16])
+    def test_matches_scalar_reference(self, root):
+        b = FlowBuilder(17)
+        for t in range(17):
+            if t != root:
+                b.add_flow(t, root, 3.0)
+        assert_flowsets_equal(Reduce(17, root=root, message_size=3.0).build(),
+                              b.build())
 
     def test_root_validated(self):
         with pytest.raises(ValueError):
@@ -50,6 +98,13 @@ class TestAllReduce:
         fs = AllReduce(2).build()
         assert fs.num_flows == 2
         assert fs.num_dependencies == 0
+
+    @pytest.mark.parametrize("tasks", [*range(2, 41), 63, 64, 65, 127, 200])
+    def test_matches_scalar_reference(self, tasks):
+        """Same flows, dependencies and CSR successor order as adding the
+        flows rank by rank."""
+        assert_flowsets_equal(AllReduce(tasks, message_size=5.0).build(),
+                              reference_allreduce(tasks, 5.0).build())
 
     def test_partners_are_xor(self):
         fs = AllReduce(8).build()
