@@ -20,8 +20,9 @@ Two claims are asserted, not just measured:
   ``peak_utilisation`` alone cannot discriminate here: the binding tier's
   hottest link is busy for the whole makespan by definition, so it reads
   ~1.0 under every policy.  The collective is measured but not asserted:
-  its traffic is symmetric and spreading can *hurt* it — that asymmetry
-  is the study's point (see docs/routing.md).
+  its traffic is symmetric, so hash spreading (``ecmp``) *hurts* it while
+  adaptive selection does not — that asymmetry is the study's point (see
+  docs/routing.md).
 """
 
 from __future__ import annotations

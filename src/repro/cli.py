@@ -25,6 +25,9 @@ record per cell to a JSONL file (see ``docs/observability.md``).
 Dynamic experiments (fig4/fig5/run) default to a scaled-down system; the
 static analyses (table1/table2) run at any scale including the paper's
 131,072 endpoints.
+
+Bad input exits 2 with one ``repro: error:`` line, like argparse itself;
+any other library error found at run time exits 1 with one line.
 """
 
 from __future__ import annotations
@@ -36,8 +39,30 @@ from repro.core import (DEFAULT_ENDPOINTS, DesignSpaceExplorer, claims_report,
                         figure, table1, table2)
 from repro.core.config import DEFAULT_QUADRATIC_TASKS
 from repro.core.paperdata import PAPER_ENDPOINTS
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError, TopologyError, WorkloadError
 from repro.routing import ROUTING_POLICIES
+
+#: The lower bound of a flag that must exceed zero.
+_POSITIVE = "positive"
+
+#: The lower bound of every numeric flag, by argparse dest: the least value
+#: it accepts, or ``_POSITIVE``.  A ``(command, dest)`` entry overrides the
+#: plain one; each count of a list-valued flag is checked, an unset
+#: optional flag is not.
+_LOWER_BOUNDS = {
+    "endpoints": _POSITIVE, ("serve", "endpoints"): 2, "seed": 0,
+    "tasks": 1, "quadratic_tasks": 1, "max_pairs": 1,
+    "switch_cost": 0, "switch_power": 0,
+    "jobs": 1, "cell_timeout": _POSITIVE,
+    "fail_links": 0, "fail_uplinks": 0, "fail_seed": 0,
+    "cables": 0, "uplinks": 0, "horizon_frac": _POSITIVE, "mttr_frac": 0,
+    "bootstrap": 1,
+    "budget": 1, "pilot_endpoints": 8, "fault_levels": 0,
+    "port": 0, ("submit", "port"): 1, "capacity": 1, "timeout": _POSITIVE,
+}
+
+#: Commands whose design space needs 2x2x2 subtori to tile the system.
+_SUBTORUS_SWEEPS = ("fig4", "fig5", "resilience", "campaign")
 
 
 def _add_common(p: argparse.ArgumentParser, *, endpoints: int) -> None:
@@ -46,13 +71,31 @@ def _add_common(p: argparse.ArgumentParser, *, endpoints: int) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
 
-def _add_sweep(p: argparse.ArgumentParser) -> None:
-    _add_common(p, endpoints=DEFAULT_ENDPOINTS)
+def _add_fidelity(p: argparse.ArgumentParser, *,
+                  default: str = "approx") -> None:
     p.add_argument("--fidelity", choices=("exact", "approx"),
-                   default="approx", help="engine fidelity (default approx)")
+                   default=default,
+                   help=f"engine fidelity (default {default})")
+
+
+def _add_quadratic_tasks(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quadratic-tasks", type=int,
                    default=DEFAULT_QUADRATIC_TASKS,
                    help="task cap for MapReduce/n-Bodies")
+
+
+def _add_cell(p: argparse.ArgumentParser) -> None:
+    """The hybrid parameters and task count of one simulated cell."""
+    p.add_argument("--t", type=int, default=None, help="subtorus side")
+    p.add_argument("--u", type=int, default=None, help="uplink sparsity")
+    p.add_argument("--tasks", type=int, default=None,
+                   help="tasks to place (default: one per endpoint)")
+
+
+def _add_sweep(p: argparse.ArgumentParser) -> None:
+    _add_common(p, endpoints=DEFAULT_ENDPOINTS)
+    _add_fidelity(p)
+    _add_quadratic_tasks(p)
     p.add_argument("--workloads", nargs="*", default=None,
                    help="subset of workloads to run")
     p.add_argument("--out", default=None, help="also write raw CSV here")
@@ -67,17 +110,11 @@ def _add_sweep(p: argparse.ArgumentParser) -> None:
     _add_routing(p)
 
 
-def _add_runner(p: argparse.ArgumentParser, *, metrics_help: str) -> None:
-    """The options of every command that runs simulation cells through
-    :func:`repro.sweep.run_sweep`."""
+def _add_workers(p: argparse.ArgumentParser, *, metrics_help: str) -> None:
+    """The options of every command that simulates cells in worker
+    processes (the sweep commands and ``serve``)."""
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (default 1: serial)")
-    p.add_argument("--checkpoint", default=None, metavar="DIR",
-                   help="store each simulation cell's result in this "
-                        "result-store directory as it completes (the store "
-                        "`repro serve --store` answers from)")
-    p.add_argument("--resume", action="store_true",
-                   help="skip cells already present in --checkpoint")
     p.add_argument("--cell-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="wall-clock cap per simulation cell (parallel "
@@ -85,6 +122,18 @@ def _add_runner(p: argparse.ArgumentParser, *, metrics_help: str) -> None:
                         "marked failed)")
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help=metrics_help)
+
+
+def _add_runner(p: argparse.ArgumentParser, *, metrics_help: str) -> None:
+    """The options of every command that runs simulation cells through
+    :func:`repro.sweep.run_sweep`."""
+    _add_workers(p, metrics_help=metrics_help)
+    p.add_argument("--checkpoint", default=None, metavar="DIR",
+                   help="store each simulation cell's result in this "
+                        "result-store directory as it completes (the store "
+                        "`repro serve --store` answers from)")
+    p.add_argument("--resume", action="store_true",
+                   help="skip cells already present in --checkpoint")
     p.add_argument("--quiet", action="store_true",
                    help="suppress progress logging")
 
@@ -210,11 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="mean time to repair as a fraction of the healthy "
                          "makespan; 0 makes faults permanent "
                          "(default 0.25)")
-    pc.add_argument("--fidelity", choices=("exact", "approx"),
-                    default="approx", help="engine fidelity (default approx)")
-    pc.add_argument("--quadratic-tasks", type=int,
-                    default=DEFAULT_QUADRATIC_TASKS,
-                    help="task cap for MapReduce/n-Bodies")
+    _add_fidelity(pc)
+    _add_quadratic_tasks(pc)
     pc.add_argument("--bootstrap", type=int, default=1000, metavar="N",
                     help="bootstrap resamples behind the slowdown CIs "
                          "(default 1000)")
@@ -229,12 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pr, endpoints=DEFAULT_ENDPOINTS)
     pr.add_argument("--topology", required=True,
                     help="family: torus, fattree, ghc, nesttree, nestghc")
-    pr.add_argument("--t", type=int, default=None, help="subtorus side")
-    pr.add_argument("--u", type=int, default=None, help="uplink sparsity")
     pr.add_argument("--workload", required=True)
-    pr.add_argument("--tasks", type=int, default=None)
-    pr.add_argument("--fidelity", choices=("exact", "approx"),
-                    default="exact")
+    _add_cell(pr)
+    _add_fidelity(pr, default="exact")
     _add_routing(pr)
 
     pp = sub.add_parser(
@@ -244,11 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("topology",
                     help="family: torus, fattree, ghc, nesttree, nestghc")
     _add_common(pp, endpoints=DEFAULT_ENDPOINTS)
-    pp.add_argument("--t", type=int, default=None, help="subtorus side")
-    pp.add_argument("--u", type=int, default=None, help="uplink sparsity")
-    pp.add_argument("--tasks", type=int, default=None)
-    pp.add_argument("--fidelity", choices=("exact", "approx"),
-                    default="exact")
+    _add_cell(pp)
+    _add_fidelity(pp, default="exact")
     _add_routing(pp)
 
     po = sub.add_parser(
@@ -268,11 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--pilot-endpoints", type=int, default=None, metavar="N",
                     help="rank-1 pilot scale (default: min(endpoints, 512); "
                          "equal scales collapse the ladder to rank 0 -> 2)")
-    po.add_argument("--fidelity", choices=("exact", "approx"),
-                    default="approx", help="engine fidelity (default approx)")
-    po.add_argument("--quadratic-tasks", type=int,
-                    default=DEFAULT_QUADRATIC_TASKS,
-                    help="task cap for MapReduce/n-Bodies")
+    _add_fidelity(po)
+    _add_quadratic_tasks(po)
     po.add_argument("--fault-levels", type=int, nargs="+", default=[0],
                     metavar="N",
                     help="failed-cable counts as an extra search axis "
@@ -303,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--port", type=int, default=0,
                     help="TCP port (default 0: pick a free port and "
                          "print it)")
-    pv.add_argument("--fidelity", choices=("exact", "approx"),
-                    default="approx", help="engine fidelity (default approx)")
+    _add_fidelity(pv)
     pv.add_argument("--capacity", type=int, default=256,
                     help="bounded queue size; further submissions get a "
                          "typed 429 (default 256)")
@@ -312,19 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="TENANT=W",
                     help="fair-share weight for one tenant (repeatable; "
                          "unlisted tenants weigh 1)")
-    pv.add_argument("--jobs", type=int, default=1,
-                    help="worker processes per simulation batch "
-                         "(default 1: serial)")
-    pv.add_argument("--cell-timeout", type=float, default=None,
-                    metavar="SECONDS",
-                    help="wall-clock cap per simulation cell")
-    pv.add_argument("--metrics", default=None, metavar="PATH",
-                    help="append one obs metrics record per simulated "
-                         "cell to this JSONL file (the stream accumulates "
-                         "across batches)")
-    pv.add_argument("--batch-max", type=int, default=32,
-                    help="cells drained into one simulation batch "
-                         "(default 32)")
+    _add_workers(pv, metrics_help="append one obs metrics record per "
+                 "simulated cell to this JSONL file (the stream "
+                 "accumulates across batches)")
 
     pb = sub.add_parser(
         "submit",
@@ -343,11 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "submit (see docs/service.md); overrides the "
                          "single-cell flags below")
     pb.add_argument("--workload", default=None)
-    pb.add_argument("--tasks", type=int, default=None)
     pb.add_argument("--topology", default=None,
                     help="family: torus, fattree, ghc, nesttree, nestghc")
-    pb.add_argument("--t", type=int, default=None, help="subtorus side")
-    pb.add_argument("--u", type=int, default=None, help="uplink sparsity")
+    _add_cell(pb)
     pb.add_argument("--placement", default="spread",
                     help="task placement policy (default spread)")
     _add_faults(pb, many_links=False)
@@ -363,108 +387,77 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
     try:
-        if args.command == "table1":
-            print(table1(args.endpoints, max_pairs=args.max_pairs,
-                         seed=args.seed))
-        elif args.command == "table2":
-            print(table2(args.endpoints, model=_cost_model(args)))
-        elif args.command in ("fig4", "fig5"):
-            _run_figure(args, heavy=args.command == "fig4")
-        elif args.command == "resilience":
-            _run_resilience(args)
-        elif args.command == "campaign":
-            _run_campaign(args)
-        elif args.command == "optimize":
-            _run_optimize(args)
-        elif args.command == "run":
-            _run_single(args)
-        elif args.command == "profile":
-            _run_profile(args)
-        elif args.command == "serve":
-            _run_serve(args)
-        elif args.command == "submit":
-            return _run_submit(args)
-        elif args.command == "info":
-            _info()
-        return 0
-    except ConfigError as exc:
-        # bad input only found at run time (e.g. a --checkpoint or
-        # --store path that is a file): exit 2 like _validate
+        _validate(args)
+        return _COMMANDS[args.command](args) or 0
+    except (ConfigError, TopologyError, WorkloadError) as exc:
+        # bad input, whether caught up front or only at run time (e.g. a
+        # --checkpoint path that is a file): exit 2 like argparse itself
         parser.error(str(exc))
+    except (ReproError, OSError) as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
-def _validate(parser: argparse.ArgumentParser,
-              args: argparse.Namespace) -> None:
-    """Reject bad inputs up front (exit status 2, like argparse itself).
+def _validate(args: argparse.Namespace) -> None:
+    """Reject bad input before any work starts, with a ConfigError.
 
     Without this, an unknown workload surfaces as a ``KeyError`` deep in
     the registry and an untileable endpoint count as a topology-construction
     traceback after minutes of sweep warm-up.
     """
-    from repro.workloads import available
+    from repro.topology import available as families
+    from repro.workloads import available as workloads
 
-    if getattr(args, "endpoints", 1) < 1:
-        parser.error(f"--endpoints must be positive, got {args.endpoints}")
-    if args.command in ("fig4", "fig5", "resilience"):
-        if args.endpoints % 8:
-            parser.error(
-                f"--endpoints must be a multiple of 8 so the sweep's "
-                f"2x2x2 subtori tile the system, got {args.endpoints}")
-        if args.jobs < 1:
-            parser.error(f"--jobs must be >= 1, got {args.jobs}")
-        if args.resume and not args.checkpoint:
-            parser.error("--resume requires --checkpoint DIR")
-        for name in getattr(args, "workloads", None) or ():
-            if name not in available():
-                parser.error(f"unknown workload {name!r}; "
-                             f"choose from: {', '.join(available())}")
-        _validate_faults(parser, args)
-    if args.command == "resilience":
-        from repro.topology import available as topo_available
+    for dest, value in vars(args).items():
+        low = _LOWER_BOUNDS.get((args.command, dest),
+                                _LOWER_BOUNDS.get(dest))
+        if low is None or value is None:
+            continue
+        for count in value if isinstance(value, list) else (value,):
+            if (count <= 0) if low == _POSITIVE else (count < low):
+                need = _POSITIVE if low == _POSITIVE else f">= {low}"
+                raise ConfigError(f"--{dest.replace('_', '-')} must be "
+                                  f"{need}, got {count}")
+    if getattr(args, "port", 0) > 65535:
+        raise ConfigError(f"--port must be <= 65535, got {args.port}")
 
-        if args.workload not in available():
-            parser.error(f"unknown workload {args.workload!r}; "
-                         f"choose from: {', '.join(available())}")
-        for family in args.topologies or ():
-            if family not in topo_available():
-                parser.error(
-                    f"unknown topology family {family!r}; "
-                    f"choose from: {', '.join(topo_available())}")
-        _parse_seeds_arg(parser, args.seeds)
-    if args.command == "campaign":
-        _validate_campaign(parser, args)
-    if args.command == "run" and args.workload not in available():
-        parser.error(f"unknown workload {args.workload!r}; "
-                     f"choose from: {', '.join(available())}")
-    if args.command == "profile":
-        from repro.topology import available as topo_available
+    _check_names("workload", [getattr(args, "workload", None),
+                              *(getattr(args, "workloads", None) or ())],
+                 workloads())
+    _check_names("topology family",
+                 [getattr(args, "topology", None),
+                  *(args.topologies or () if args.command == "resilience"
+                    else ())],
+                 families())
 
-        if args.workload not in available():
-            parser.error(f"unknown workload {args.workload!r}; "
-                         f"choose from: {', '.join(available())}")
-        if args.topology not in topo_available():
-            parser.error(f"unknown topology family {args.topology!r}; "
-                         f"choose from: {', '.join(topo_available())}")
+    if getattr(args, "resume", False) and not args.checkpoint:
+        raise ConfigError("--resume requires --checkpoint DIR")
+    if args.command in _SUBTORUS_SWEEPS and args.endpoints % 8:
+        raise ConfigError(
+            f"--endpoints must be a multiple of 8 so the sweep's 2x2x2 "
+            f"subtori tile the system, got {args.endpoints}")
+    if getattr(args, "pilot_endpoints", None) and \
+            args.pilot_endpoints > args.endpoints:
+        raise ConfigError(f"--pilot-endpoints ({args.pilot_endpoints}) must "
+                          f"not exceed --endpoints ({args.endpoints})")
     if args.command in ("run", "profile"):
-        _validate_hybrid(parser, args)
-    if args.command in ("table2", "optimize"):
-        for flag, value in (("--switch-cost", args.switch_cost),
-                            ("--switch-power", args.switch_power)):
-            if value is not None and value < 0:
-                parser.error(f"{flag} must be non-negative, got {value}")
-    if args.command == "optimize":
-        _validate_optimize(parser, args)
-    if args.command == "serve":
-        _validate_serve(parser, args)
-    if args.command == "submit":
-        _validate_submit(parser, args)
+        _validate_hybrid(args)
+    if args.command == "campaign" and not (args.cables or args.uplinks):
+        raise ConfigError("a campaign needs at least one transient fault "
+                          "per timeline; set --cables and/or --uplinks")
 
 
-def _validate_hybrid(parser: argparse.ArgumentParser,
-                     args: argparse.Namespace) -> None:
-    """Hybrid ``(t, u)`` guard for run/profile: exit 2 with the ranges.
+def _check_names(kind: str, names: list[str | None],
+                 known: list[str]) -> None:
+    for name in names:
+        if name is not None and name not in known:
+            raise ConfigError(f"unknown {kind} {name!r}; "
+                              f"choose from: {', '.join(known)}")
+
+
+def _validate_hybrid(args: argparse.Namespace) -> None:
+    """Hybrid ``(t, u)`` guard for run/profile.
 
     Without this a bad density or side only explodes deep inside topology
     construction; the typed ConfigError from core.config lists the valid
@@ -473,113 +466,44 @@ def _validate_hybrid(parser: argparse.ArgumentParser,
     from repro.core.config import HYBRID_FAMILIES, validate_hybrid_params
 
     if args.topology not in HYBRID_FAMILIES:
+        if args.t is not None or args.u is not None:
+            raise ConfigError(f"--t and --u apply to the hybrid families "
+                              f"({', '.join(HYBRID_FAMILIES)}) only, not "
+                              f"{args.topology}")
         return
     if args.t is None or args.u is None:
-        parser.error(f"{args.topology} needs both --t (subtorus side) and "
-                     f"--u (uplink density)")
-    try:
-        validate_hybrid_params(args.topology, args.t, args.u,
-                               endpoints=args.endpoints)
-    except ConfigError as exc:
-        parser.error(str(exc))
+        raise ConfigError(f"{args.topology} needs both --t (subtorus side) "
+                          f"and --u (uplink density)")
+    validate_hybrid_params(args.topology, args.t, args.u,
+                           endpoints=args.endpoints)
 
 
-def _validate_optimize(parser: argparse.ArgumentParser,
-                       args: argparse.Namespace) -> None:
-    """Range-check the optimize flags (exit 2, valid choices listed)."""
-    from repro.search import available_strategies
-    from repro.workloads import available
-
-    if args.budget < 1:
-        parser.error(f"--budget must be >= 1, got {args.budget}")
-    if args.strategy not in available_strategies():
-        parser.error(f"unknown search strategy {args.strategy!r}; "
-                     f"choose from: {', '.join(available_strategies())}")
-    for name in args.workloads or ():
-        if name not in available():
-            parser.error(f"unknown workload {name!r}; "
-                         f"choose from: {', '.join(available())}")
-    if args.pilot_endpoints is not None:
-        if args.pilot_endpoints < 8:
-            parser.error(f"--pilot-endpoints must be >= 8, "
-                         f"got {args.pilot_endpoints}")
-        if args.pilot_endpoints > args.endpoints:
-            parser.error(f"--pilot-endpoints ({args.pilot_endpoints}) must "
-                         f"not exceed --endpoints ({args.endpoints})")
-    for level in args.fault_levels:
-        if level < 0:
-            parser.error(f"--fault-levels counts must be >= 0, got {level}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.resume and not args.checkpoint:
-        parser.error("--resume requires --checkpoint DIR")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        parser.error(f"--cell-timeout must be a positive number of "
-                     f"seconds, got {args.cell_timeout}")
+def _hybrid_params(args: argparse.Namespace) -> dict[str, int]:
+    """The ``--t``/``--u`` values given, as topology parameters."""
+    return {k: getattr(args, k) for k in ("t", "u")
+            if getattr(args, k) is not None}
 
 
-def _parse_weights(parser: argparse.ArgumentParser,
-                   specs: list[str]) -> dict[str, int]:
-    """Expand repeated ``--weight TENANT=W`` flags, exiting 2 on bad ones."""
+def _parse_weights(specs: list[str]) -> dict[str, int]:
+    """Expand repeated ``--weight TENANT=W`` flags."""
     weights: dict[str, int] = {}
     for spec in specs:
         tenant, sep, value = spec.partition("=")
         if not sep or not tenant:
-            parser.error(f"--weight must be TENANT=W, got {spec!r}")
+            raise ConfigError(f"--weight must be TENANT=W, got {spec!r}")
         try:
             weight = int(value)
         except ValueError:
-            parser.error(f"--weight {tenant}: weight must be an integer, "
-                         f"got {value!r}")
+            raise ConfigError(f"--weight {tenant}: weight must be an "
+                              f"integer, got {value!r}") from None
         if weight < 1:
-            parser.error(f"--weight {tenant}: weight must be >= 1, "
-                         f"got {weight}")
+            raise ConfigError(f"--weight {tenant}: weight must be >= 1, "
+                              f"got {weight}")
         weights[tenant] = weight
     return weights
 
 
-def _validate_serve(parser: argparse.ArgumentParser,
-                    args: argparse.Namespace) -> None:
-    """Range-check the serve flags (exit 2, like the other subcommands)."""
-    if args.endpoints < 2:
-        parser.error(f"--endpoints must be >= 2, got {args.endpoints}")
-    if not 0 <= args.port <= 65535:
-        parser.error(f"--port must be 0..65535, got {args.port}")
-    if args.capacity < 1:
-        parser.error(f"--capacity must be >= 1, got {args.capacity}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.batch_max < 1:
-        parser.error(f"--batch-max must be >= 1, got {args.batch_max}")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        parser.error(f"--cell-timeout must be a positive number of "
-                     f"seconds, got {args.cell_timeout}")
-    _parse_weights(parser, args.weight)
-
-
-def _validate_submit(parser: argparse.ArgumentParser,
-                     args: argparse.Namespace) -> None:
-    """Client-side request validation: a bad cell dies here (exit 2)
-    instead of as a 400 from the service."""
-    from repro.errors import ProtocolError
-    from repro.service.protocol import submission_from_json
-
-    if not 1 <= args.port <= 65535:
-        parser.error(f"--port must be 1..65535, got {args.port}")
-    if args.timeout <= 0:
-        parser.error(f"--timeout must be positive, got {args.timeout}")
-    if args.cells_json is None and not (args.workload and args.topology):
-        parser.error("submit needs --cells-json PATH, or --workload and "
-                     "--topology for a single cell")
-    try:
-        submission_from_json({"tenant": args.tenant,
-                              "cells": _submit_cells(parser, args)})
-    except ProtocolError as exc:
-        parser.error(str(exc))
-
-
-def _submit_cells(parser: argparse.ArgumentParser,
-                  args: argparse.Namespace) -> list[dict]:
+def _submit_cells(args: argparse.Namespace) -> list[dict]:
     """The cell documents a submit invocation sends."""
     import json
 
@@ -588,121 +512,71 @@ def _submit_cells(parser: argparse.ArgumentParser,
             with open(args.cells_json) as fh:
                 cells = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"--cells-json {args.cells_json}: {exc}")
+            raise ConfigError(f"--cells-json {args.cells_json}: "
+                              f"{exc}") from None
         if not isinstance(cells, list):
-            parser.error(f"--cells-json {args.cells_json}: must hold a "
-                         f"JSON list of cell documents")
+            raise ConfigError(f"--cells-json {args.cells_json}: must hold "
+                              f"a JSON list of cell documents")
         return cells
-    params = {}
-    if args.t is not None:
-        params["t"] = args.t
-    if args.u is not None:
-        params["u"] = args.u
+    if not (args.workload and args.topology):
+        raise ConfigError("submit needs --cells-json PATH, or --workload "
+                          "and --topology for a single cell")
     faults = None
     if args.fail_links or args.fail_uplinks:
         faults = {"cables": args.fail_links, "uplinks": args.fail_uplinks,
                   "seed": args.fail_seed}
     return [{"workload": args.workload, "tasks": args.tasks,
-             "topology": {"family": args.topology, "params": params},
+             "topology": {"family": args.topology,
+                          "params": _hybrid_params(args)},
              "placement": args.placement, "faults": faults,
              "routing": args.routing}]
 
 
-def _parse_seeds_arg(parser: argparse.ArgumentParser,
-                     spec: str | None) -> list[int] | None:
-    """Expand an ``A:B`` seed-range flag, exiting 2 on a malformed one."""
-    from repro.sweep import parse_seed_range
-
-    if spec is None:
-        return None
-    try:
-        return parse_seed_range(spec)
-    except ConfigError as exc:
-        parser.error(str(exc))
-
-
-def _validate_campaign(parser: argparse.ArgumentParser,
-                       args: argparse.Namespace) -> None:
-    """Range-check the campaign flags (exit 2, valid choices listed)."""
-    from repro.workloads import available
-
-    if args.endpoints % 8:
-        parser.error(
-            f"--endpoints must be a multiple of 8 so the campaign's "
-            f"2x2x2 subtori tile the system, got {args.endpoints}")
-    if args.workload not in available():
-        parser.error(f"unknown workload {args.workload!r}; "
-                     f"choose from: {', '.join(available())}")
-    _parse_seeds_arg(parser, args.seeds)
-    if args.cables < 0:
-        parser.error(f"--cables must be >= 0, got {args.cables}")
-    if args.uplinks < 0:
-        parser.error(f"--uplinks must be >= 0, got {args.uplinks}")
-    if not args.cables and not args.uplinks:
-        parser.error("a campaign needs at least one transient fault per "
-                     "timeline; set --cables and/or --uplinks")
-    if args.horizon_frac <= 0:
-        parser.error(f"--horizon-frac must be positive, "
-                     f"got {args.horizon_frac}")
-    if args.mttr_frac < 0:
-        parser.error(f"--mttr-frac must be >= 0 (0 disables repair), "
-                     f"got {args.mttr_frac}")
-    if args.bootstrap < 1:
-        parser.error(f"--bootstrap must be >= 1, got {args.bootstrap}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.resume and not args.checkpoint:
-        parser.error("--resume requires --checkpoint DIR")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        parser.error(f"--cell-timeout must be a positive number of "
-                     f"seconds, got {args.cell_timeout}")
-
-
-def _validate_faults(parser: argparse.ArgumentParser,
-                     args: argparse.Namespace) -> None:
-    """Range-check the fault-injection and robustness flags (exit 2)."""
-    links = args.fail_links if isinstance(args.fail_links, list) \
-        else [args.fail_links]
-    for count in links:
-        if count < 0:
-            parser.error(f"--fail-links counts must be >= 0, got {count}")
-    if args.fail_uplinks < 0:
-        parser.error(
-            f"--fail-uplinks must be >= 0, got {args.fail_uplinks}")
-    if args.fail_seed < 0:
-        parser.error(f"--fail-seed must be >= 0, got {args.fail_seed}")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        parser.error(f"--cell-timeout must be a positive number of "
-                     f"seconds, got {args.cell_timeout}")
-
-
-def _run_figure(args: argparse.Namespace, *, heavy: bool) -> None:
-    from repro.workloads import heavy_workloads, light_workloads
-
-    names = args.workloads or (heavy_workloads() if heavy else light_workloads())
-    explorer = DesignSpaceExplorer(
+def _explorer(args: argparse.Namespace) -> DesignSpaceExplorer:
+    return DesignSpaceExplorer(
         args.endpoints, fidelity=args.fidelity,
         quadratic_tasks=args.quadratic_tasks, seed=args.seed,
         progress=not args.quiet)
-    table = explorer.run(names, jobs=args.jobs,
-                         checkpoint=args.checkpoint, resume=args.resume,
-                         fail_links=args.fail_links,
-                         fail_uplinks=args.fail_uplinks,
-                         fail_seed=args.fail_seed,
-                         keep_going=args.keep_going,
-                         cell_timeout=args.cell_timeout,
-                         metrics=args.metrics,
-                         routing=args.routing)
+
+
+def _log(args: argparse.Namespace):
+    """Progress lines prefixed with the command name; None under --quiet."""
+    if args.quiet:
+        return None
+    return lambda m: print(f"[{args.command}] {m}", file=sys.stderr,
+                           flush=True)
+
+
+def _write_csv(args: argparse.Namespace, table) -> None:
+    """Write a result table's raw CSV to ``--out``, when given."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(table.to_csv())
+        print(f"\nraw results written to {args.out}", file=sys.stderr)
+
+
+def _run_figure(args: argparse.Namespace) -> None:
+    from repro.workloads import heavy_workloads, light_workloads
+
+    heavy = args.command == "fig4"
+    names = args.workloads or (heavy_workloads() if heavy else light_workloads())
+    table = _explorer(args).run(names, jobs=args.jobs,
+                                checkpoint=args.checkpoint,
+                                resume=args.resume,
+                                fail_links=args.fail_links,
+                                fail_uplinks=args.fail_uplinks,
+                                fail_seed=args.fail_seed,
+                                keep_going=args.keep_going,
+                                cell_timeout=args.cell_timeout,
+                                metrics=args.metrics,
+                                routing=args.routing)
     fig_no = 4 if heavy else 5
     print(figure(table, names,
                  title=f"Figure {fig_no} ({'heavy' if heavy else 'light'} "
                        f"workloads)"))
     print()
     print(claims_report(table, fig_no))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(table.to_csv())
-        print(f"\nraw results written to {args.out}", file=sys.stderr)
+    _write_csv(args, table)
 
 
 def _run_resilience(args: argparse.Namespace) -> None:
@@ -720,10 +594,7 @@ def _run_resilience(args: argparse.Namespace) -> None:
     from repro.core.explorer import PLACEMENT_POLICY, ResultTable
     from repro.sweep import SweepCell, SweepPlan, parse_seed_range, run_sweep
 
-    explorer = DesignSpaceExplorer(
-        args.endpoints, fidelity=args.fidelity,
-        quadratic_tasks=args.quadratic_tasks, seed=args.seed,
-        progress=not args.quiet)
+    explorer = _explorer(args)
     specs = explorer.topology_specs()
     if args.topologies:
         specs = [s for s in specs if s.family in args.topologies]
@@ -747,10 +618,8 @@ def _run_resilience(args: argparse.Namespace) -> None:
                     fail_seed=fseed, routing=args.routing))
     plan = SweepPlan(endpoints=args.endpoints, fidelity=args.fidelity,
                      seed=args.seed, cells=tuple(cells))
-    log = None if args.quiet else \
-        (lambda m: print(f"[resilience] {m}", file=sys.stderr, flush=True))
     records = run_sweep(plan, jobs=args.jobs, checkpoint=args.checkpoint,
-                        resume=args.resume, log=log,
+                        resume=args.resume, log=_log(args),
                         keep_going=args.keep_going,
                         cell_timeout=args.cell_timeout,
                         metrics_path=args.metrics)
@@ -786,13 +655,10 @@ def _run_resilience(args: argparse.Namespace) -> None:
             else:
                 row.append(f"{makespan * 1e3:14.3f}ms")
         print("".join(row))
-    if args.out:
-        table = ResultTable(endpoints=args.endpoints, fidelity=args.fidelity)
-        for record in records:
-            table.add(record)
-        with open(args.out, "w") as fh:
-            fh.write(table.to_csv())
-        print(f"\nraw results written to {args.out}", file=sys.stderr)
+    table = ResultTable(endpoints=args.endpoints, fidelity=args.fidelity)
+    for record in records:
+        table.add(record)
+    _write_csv(args, table)
 
 
 def _run_campaign(args: argparse.Namespace) -> None:
@@ -809,30 +675,20 @@ def _run_campaign(args: argparse.Namespace) -> None:
                              write_campaign_report)
     from repro.sweep.campaign import _select_topologies
 
-    explorer = DesignSpaceExplorer(
-        args.endpoints, fidelity=args.fidelity,
-        quadratic_tasks=args.quadratic_tasks, seed=args.seed,
-        progress=not args.quiet)
-    log = None if args.quiet else \
-        (lambda m: print(f"[campaign] {m}", file=sys.stderr, flush=True))
-    try:
-        topologies = _select_topologies(explorer.topology_specs(),
-                                        args.topologies)
-        report = run_campaign(
-            endpoints=args.endpoints,
-            workload=explorer.workload_spec(args.workload),
-            topologies=topologies,
-            placement=PLACEMENT_POLICY.get(args.workload, "spread"),
-            seeds=parse_seed_range(args.seeds),
-            cables=args.cables, uplinks=args.uplinks,
-            horizon_frac=args.horizon_frac, mttr_frac=args.mttr_frac,
-            fidelity=args.fidelity, seed=args.seed, routing=args.routing,
-            jobs=args.jobs, checkpoint=args.checkpoint, resume=args.resume,
-            log=log, cell_timeout=args.cell_timeout,
-            metrics_path=args.metrics, bootstrap=args.bootstrap)
-    except ConfigError as exc:
-        print(f"repro campaign: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+    explorer = _explorer(args)
+    report = run_campaign(
+        endpoints=args.endpoints,
+        workload=explorer.workload_spec(args.workload),
+        topologies=_select_topologies(explorer.topology_specs(),
+                                      args.topologies),
+        placement=PLACEMENT_POLICY.get(args.workload, "spread"),
+        seeds=parse_seed_range(args.seeds),
+        cables=args.cables, uplinks=args.uplinks,
+        horizon_frac=args.horizon_frac, mttr_frac=args.mttr_frac,
+        fidelity=args.fidelity, seed=args.seed, routing=args.routing,
+        jobs=args.jobs, checkpoint=args.checkpoint, resume=args.resume,
+        log=_log(args), cell_timeout=args.cell_timeout,
+        metrics_path=args.metrics, bootstrap=args.bootstrap)
     print(campaign_table(report))
     if args.report:
         path = write_campaign_report(report, args.report)
@@ -852,23 +708,17 @@ def _run_optimize(args: argparse.Namespace) -> None:
     from repro.topology.cost import CostModel
 
     workloads = tuple(args.workloads or DEFAULT_WORKLOADS)
-    log = None if args.quiet else \
-        (lambda m: print(f"[optimize] {m}", file=sys.stderr, flush=True))
-    try:
-        ladder = FidelityLadder.for_scale(
-            args.endpoints, workloads,
-            pilot_endpoints=args.pilot_endpoints,
-            fidelity=args.fidelity, seed=args.seed,
-            quadratic_tasks=args.quadratic_tasks)
-        space = DesignSpace(endpoints=args.endpoints,
-                            pilot_endpoints=ladder.pilot_endpoints,
-                            fault_levels=tuple(dict.fromkeys(
-                                args.fault_levels)),
-                            routings=tuple(dict.fromkeys(args.routings)))
-        strategy = make_strategy(args.strategy, space, seed=args.seed)
-    except ConfigError as exc:
-        print(f"repro optimize: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+    log = _log(args)
+    ladder = FidelityLadder.for_scale(
+        args.endpoints, workloads,
+        pilot_endpoints=args.pilot_endpoints,
+        fidelity=args.fidelity, seed=args.seed,
+        quadratic_tasks=args.quadratic_tasks)
+    space = DesignSpace(endpoints=args.endpoints,
+                        pilot_endpoints=ladder.pilot_endpoints,
+                        fault_levels=tuple(dict.fromkeys(args.fault_levels)),
+                        routings=tuple(dict.fromkeys(args.routings)))
+    strategy = make_strategy(args.strategy, space, seed=args.seed)
     evaluator = LadderEvaluator(
         ladder, cost_model=_cost_model(args) or CostModel(),
         jobs=args.jobs, checkpoint=args.checkpoint, resume=args.resume,
@@ -902,55 +752,31 @@ def _run_optimize(args: argparse.Namespace) -> None:
 
 
 def _run_single(args: argparse.Namespace) -> None:
-    from repro import simulate
-    from repro.mapping.placement import spread_placement
-    from repro.topology import build as build_topology
-    from repro.workloads import build as build_workload
-
-    params = {}
-    if args.t is not None:
-        params["t"] = args.t
-    if args.u is not None:
-        params["u"] = args.u
-    topo = build_topology(args.topology, args.endpoints, **params)
-    tasks = args.tasks or args.endpoints
-    wl = build_workload(args.workload, tasks, seed=args.seed)
-    placement = None if tasks == args.endpoints \
-        else spread_placement(tasks, args.endpoints)
-    result = simulate(topo, wl.build(), placement=placement,
-                      fidelity=args.fidelity, routing=args.routing)
-    print(topo.describe())
-    print(wl.describe())
-    print(result.summary())
-
-
-def _run_profile(args: argparse.Namespace) -> None:
-    """Run one instrumented simulation and print its profile tables."""
+    """One simulation; ``profile`` instruments it and prints the tier and
+    timing tables after the summary."""
     from repro import simulate
     from repro.mapping.placement import spread_placement
     from repro.obs import MetricsCollector, profile_report
     from repro.topology import build as build_topology
     from repro.workloads import build as build_workload
 
-    params = {}
-    if args.t is not None:
-        params["t"] = args.t
-    if args.u is not None:
-        params["u"] = args.u
-    topo = build_topology(args.topology, args.endpoints, **params)
+    topo = build_topology(args.topology, args.endpoints,
+                          **_hybrid_params(args))
     tasks = args.tasks or args.endpoints
     wl = build_workload(args.workload, tasks, seed=args.seed)
     placement = None if tasks == args.endpoints \
         else spread_placement(tasks, args.endpoints)
-    collector = MetricsCollector(topo.links.num_links)
+    profile = args.command == "profile"
     result = simulate(topo, wl.build(), placement=placement,
-                      fidelity=args.fidelity, metrics=collector,
-                      routing=args.routing)
+                      fidelity=args.fidelity, routing=args.routing,
+                      metrics=MetricsCollector(topo.links.num_links)
+                      if profile else None)
     print(topo.describe())
     print(wl.describe())
     print(result.summary())
-    print()
-    print(profile_report(result.metrics))
+    if profile:
+        print()
+        print(profile_report(result.metrics))
 
 
 def _run_serve(args: argparse.Namespace) -> None:
@@ -964,10 +790,7 @@ def _run_serve(args: argparse.Namespace) -> None:
 
     from repro.service import Broker, ResultStore, ServiceServer
 
-    weights = {}
-    for spec in args.weight:
-        tenant, _, value = spec.partition("=")
-        weights[tenant] = int(value)
+    weights = _parse_weights(args.weight)
 
     async def serve() -> None:
         broker = Broker(
@@ -975,8 +798,7 @@ def _run_serve(args: argparse.Namespace) -> None:
             endpoints=args.endpoints, fidelity=args.fidelity,
             seed=args.seed, capacity=args.capacity,
             weights=weights or None, jobs=args.jobs,
-            cell_timeout=args.cell_timeout, metrics_path=args.metrics,
-            batch_max=args.batch_max)
+            cell_timeout=args.cell_timeout, metrics_path=args.metrics)
         server = ServiceServer(broker, args.host, args.port)
         host, port = await server.start()
         print(f"repro service listening on {host}:{port} "
@@ -1000,14 +822,21 @@ def _run_submit(args: argparse.Namespace) -> int:
 
     Exit 0 when the service answered 200 and (if waiting) every cell
     settled ``done``; 1 otherwise — so scripts can chain on success.
+    Cells are checked on the client first: a bad one exits 2 here instead
+    of coming back as a 400 from the service.
     """
     import json
 
+    from repro.errors import ProtocolError
     from repro.service import ServiceClient
+    from repro.service.protocol import submission_from_json
 
+    cells = _submit_cells(args)
+    try:
+        submission_from_json({"tenant": args.tenant, "cells": cells})
+    except ProtocolError as exc:
+        raise ConfigError(str(exc)) from None
     client = ServiceClient(args.host, args.port, timeout=args.timeout)
-    cells = _submit_cells(argparse.ArgumentParser(prog="repro submit"),
-                          args)
     try:
         status, doc = client.submit(cells, tenant=args.tenant,
                                     wait=not args.no_wait)
@@ -1025,7 +854,7 @@ def _run_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _info() -> None:
+def _info(args: argparse.Namespace) -> None:
     from repro import __version__
     from repro.topology import available as topo_available
     from repro.workloads import heavy_workloads, light_workloads
@@ -1035,6 +864,21 @@ def _info() -> None:
     print(f"topologies: {', '.join(topo_available())}")
     print(f"heavy workloads (Fig.4): {', '.join(heavy_workloads())}")
     print(f"light workloads (Fig.5): {', '.join(light_workloads())}")
+
+
+#: The handler of each subcommand; a returned int is the exit status.
+_COMMANDS = {
+    "table1": lambda args: print(table1(args.endpoints,
+                                        max_pairs=args.max_pairs,
+                                        seed=args.seed)),
+    "table2": lambda args: print(table2(args.endpoints,
+                                        model=_cost_model(args))),
+    "fig4": _run_figure, "fig5": _run_figure,
+    "resilience": _run_resilience, "campaign": _run_campaign,
+    "optimize": _run_optimize,
+    "run": _run_single, "profile": _run_single,
+    "serve": _run_serve, "submit": _run_submit, "info": _info,
+}
 
 
 if __name__ == "__main__":  # pragma: no cover

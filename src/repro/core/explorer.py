@@ -14,14 +14,11 @@ import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.config import (DEFAULT_ENDPOINTS, DEFAULT_QUADRATIC_TASKS,
                                PAPER_CONFIGS, TopologySpec, WorkloadSpec,
                                baseline_specs, hybrid_specs,
                                partition_tileable)
 from repro.errors import ConfigError
-from repro.mapping import placement as placement_mod
 from repro.topology.base import Topology
 
 #: Workloads whose flow counts grow quadratically with the task count; they
@@ -138,7 +135,6 @@ class DesignSpaceExplorer:
                  fidelity: str = "approx",
                  quadratic_tasks: int = DEFAULT_QUADRATIC_TASKS,
                  seed: int = 0,
-                 include_baselines: bool = True,
                  progress: bool = False) -> None:
         self.endpoints = endpoints
         # design points whose subtorus does not tile the system are skipped
@@ -148,16 +144,12 @@ class DesignSpaceExplorer:
         self.fidelity = fidelity
         self.quadratic_tasks = quadratic_tasks
         self.seed = seed
-        self.include_baselines = include_baselines
         self.progress = progress
         self._topologies: dict[str, Topology] = {}
 
     # -------------------------------------------------------------- topology
     def topology_specs(self) -> list[TopologySpec]:
-        specs = hybrid_specs(self.configs)
-        if self.include_baselines:
-            specs += baseline_specs()
-        return specs
+        return hybrid_specs(self.configs) + baseline_specs()
 
     def topology(self, spec: TopologySpec) -> Topology:
         """Build (or fetch from cache) the topology for a spec."""
@@ -172,13 +164,6 @@ class DesignSpaceExplorer:
         """Default spec for a workload name (task caps per DESIGN.md)."""
         return workload_spec_for(name, self.endpoints,
                                  quadratic_tasks=self.quadratic_tasks)
-
-    def _placement(self, workload: str, tasks: int) -> np.ndarray | None:
-        if tasks == self.endpoints:
-            return None  # identity
-        policy = PLACEMENT_POLICY.get(workload, "spread")
-        return placement_mod.by_name(policy, tasks, self.endpoints,
-                                     seed=self.seed)
 
     # ------------------------------------------------------------------ plan
     def plan(self, workload_names: Iterable[str], *,

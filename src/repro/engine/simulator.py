@@ -728,21 +728,23 @@ def simulate(topology: Topology, flows: FlowSet, *,
             completion[done_ids] = now
             active.remove_many(done_ids)
             released = release_batch(done_ids, now)
-        elif adaptive:
-            for fid, rate in zip(done_ids.tolist(), done_rates.tolist()):
-                completion[fid] = now
-                active.remove(fid)
-                for succ in flows.successors(fid).tolist():
-                    indegree[succ] -= 1
-                    if indegree[succ] == 0:
-                        # rate is inherited by the release (approx mode)
-                        released += inject(succ, now, rate)
         else:
             # walk the batch in admission order, the per-flow walk's
             # order (slot order is not: a removal moves a tail slot down)
             walk = np.argsort(active.arrivals[done])
-            released = release_inherit(done_ids[walk], done_rates[walk],
-                                       now)
+            if adaptive:
+                for fid, rate in zip(done_ids[walk].tolist(),
+                                     done_rates[walk].tolist()):
+                    completion[fid] = now
+                    active.remove(fid)
+                    for succ in flows.successors(fid).tolist():
+                        indegree[succ] -= 1
+                        if indegree[succ] == 0:
+                            # rate is inherited by the release (approx)
+                            released += inject(succ, now, rate)
+            else:
+                released = release_inherit(done_ids[walk], done_rates[walk],
+                                           now)
         completed_count += done_ids.shape[0]
         events += 1
         if events > max_events:

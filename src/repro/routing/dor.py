@@ -13,7 +13,8 @@ the topology's job.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from functools import partial
 
 import numpy as np
 
@@ -31,15 +32,17 @@ def wrap_delta(src: int, dst: int, radix: int, *, torus: bool = True) -> int:
     broken towards the positive direction.  For a mesh the delta is simply
     ``dst - src``.
     """
-    if not 0 <= src < radix or not 0 <= dst < radix:
+    if not (0 <= src < radix and 0 <= dst < radix):
         raise RoutingError(f"coordinate out of range: {src}, {dst} for radix {radix}")
     if not torus:
         return dst - src
     forward = (dst - src) % radix
-    backward = forward - radix  # negative
-    if forward <= -backward:  # ties -> positive direction
-        return forward
-    return backward
+    # the backward delta is forward - radix; ties -> positive direction
+    return forward if 2 * forward <= radix else forward - radix
+
+
+#: :func:`wrap_delta` on a mesh, for ``map`` (``torus`` is keyword-only)
+_mesh_delta = partial(wrap_delta, torus=False)
 
 
 def wrap_deltas(src: int, dst: int, radix: int, *, torus: bool = True) -> tuple[int, ...]:
@@ -82,15 +85,8 @@ def path(src: Coord, dst: Coord, radices: Sequence[int], *, torus: bool = True) 
     """
     if len(src) != len(dst) or len(src) != len(radices):
         raise RoutingError("coordinate arity does not match radices")
-    cur = list(src)
-    out: list[Coord] = [tuple(cur)]
-    for dim, radix in enumerate(radices):
-        delta = wrap_delta(cur[dim], dst[dim], radix, torus=torus)
-        step = 1 if delta > 0 else -1
-        for _ in range(abs(delta)):
-            cur[dim] = (cur[dim] + step) % radix
-            out.append(tuple(cur))
-    return out
+    return _walk(src, dst, radices, map(wrap_delta if torus else _mesh_delta,
+                                        src, dst, radices))
 
 
 def path_batch(src: np.ndarray, dst: np.ndarray, radices: Sequence[int], *,
@@ -137,17 +133,21 @@ def path_batch(src: np.ndarray, dst: np.ndarray, radices: Sequence[int], *,
 
 
 def _walk(src: Coord, dst: Coord, radices: Sequence[int],
-          deltas: Sequence[int]) -> list[Coord]:
+          deltas: Iterable[int]) -> list[Coord]:
     """The DOR coordinate walk applying one signed delta per dimension."""
     cur = list(src)
-    out: list[Coord] = [tuple(cur)]
-    for dim, (radix, delta) in enumerate(zip(radices, deltas)):
-        step = 1 if delta > 0 else -1
-        for _ in range(abs(delta)):
-            cur[dim] = (cur[dim] + step) % radix
-            out.append(tuple(cur))
-    if cur != list(dst):  # pragma: no cover - delta construction guarantees
-        raise RoutingError(f"deltas {deltas} do not reach {dst} from {src}")
+    out: list[Coord] = [tuple(src)]
+    for dim, delta in enumerate(deltas):
+        if delta:
+            radix, c = radices[dim], cur[dim]
+            step = 1 if delta > 0 else -1
+            for _ in range(abs(delta)):
+                c = (c + step) % radix
+                cur[dim] = c
+                out.append(tuple(cur))
+    if out[-1] != tuple(dst):  # pragma: no cover - deltas reach dst
+        raise RoutingError(f"DOR walk from {src} ends at {out[-1]}, "
+                           f"not {dst}")
     return out
 
 

@@ -103,47 +103,29 @@ def switch_path(src: int, dst: int, arities: Sequence[int]) -> list[Switch]:
     Returns ``2m - 1`` switches for an NCA at level ``m``; the caller adds
     the leaf-to-switch access hops.
     """
-    m = nca_level(src, dst, arities)
-    dst_digits = leaf_digits(dst, arities)
-
-    up: list[Switch] = []
-    subtree = src // arities[0]
-    digits: tuple[int, ...] = ()
-    up.append(Switch(1, subtree, digits))
-    for level in range(1, m):
-        # climb: choose up-port = destination digit of this level (d-mod-k)
-        digits = digits + (dst_digits[level - 1],)
-        subtree //= arities[level]
-        up.append(Switch(level + 1, subtree, digits))
-
-    down: list[Switch] = []
-    # descend: subtree indices follow the destination, digits truncate
-    for level in range(m - 1, 0, -1):
-        group = 1
-        for k in arities[:level]:
-            group *= k
-        down.append(Switch(level, dst // group, digits[: level - 1]))
-    return up + down
+    return _assemble(src, dst, arities, nca_level(src, dst, arities),
+                     leaf_digits(dst, arities))
 
 
 def _assemble(src: int, dst: int, arities: Sequence[int], m: int,
               digits_choice: tuple[int, ...]) -> list[Switch]:
-    """The UP*/DOWN* switch walk climbing through the given up-digits."""
-    up: list[Switch] = []
+    """The UP*/DOWN* switch walk climbing through the given up-digits
+    (:func:`switch_path` gives the destination's: d-mod-k).  The descent
+    follows the destination, truncating the digits."""
     subtree = src // arities[0]
     digits: tuple[int, ...] = ()
-    up.append(Switch(1, subtree, digits))
+    walk = [Switch(1, subtree, digits)]
     for level in range(1, m):
         digits = digits + (digits_choice[level - 1],)
         subtree //= arities[level]
-        up.append(Switch(level + 1, subtree, digits))
-    down: list[Switch] = []
+        walk.append(Switch(level + 1, subtree, digits))
+    group = 1  # leaves per level-(m - 1) subtree, then per lower level
+    for k in arities[:m - 1]:
+        group *= k
     for level in range(m - 1, 0, -1):
-        group = 1
-        for k in arities[:level]:
-            group *= k
-        down.append(Switch(level, dst // group, digits[: level - 1]))
-    return up + down
+        walk.append(Switch(level, dst // group, digits[: level - 1]))
+        group //= arities[level - 1]
+    return walk
 
 
 def switch_paths(src: int, dst: int, arities: Sequence[int]) -> list[list[Switch]]:

@@ -68,23 +68,19 @@ class Broker:
                  weights: dict[str, int] | None = None,
                  jobs: int = 1,
                  cell_timeout: float | None = None,
-                 metrics_path: str | None = None,
-                 batch_max: int = DEFAULT_BATCH_MAX) -> None:
+                 metrics_path: str | None = None) -> None:
         if endpoints < 2:
             raise ConfigError(
                 f"the service needs at least 2 endpoints, got {endpoints}")
         if fidelity not in _FIDELITIES:
             raise ConfigError(
                 f"fidelity must be one of {_FIDELITIES}, got {fidelity!r}")
-        if batch_max < 1:
-            raise ConfigError(f"batch_max must be >= 1, got {batch_max}")
         self.store = store
         self.meta = {"endpoints": endpoints, "fidelity": fidelity,
                      "seed": seed}
         self.jobs = jobs
         self.cell_timeout = cell_timeout
         self.metrics_path = metrics_path
-        self.batch_max = batch_max
         self._scheduler = FairScheduler(capacity, weights=weights)
         #: digest -> future of every queued or in-flight cell
         self._futures: dict[str, asyncio.Future] = {}
@@ -221,7 +217,8 @@ class Broker:
     # ----------------------------------------------------------- drain loop
 
     def _take_batch(self) -> list[tuple[str, str, SweepCell]]:
-        """Drain up to ``batch_max`` fair-ordered cells with unique keys.
+        """Drain up to ``DEFAULT_BATCH_MAX`` fair-ordered cells with unique
+        keys.
 
         Two distinct fingerprints can share a cell *key* (keys omit the
         placement policy), and one ``run_sweep`` call indexes
@@ -233,7 +230,8 @@ class Broker:
         batch: list[tuple[str, str, SweepCell]] = []
         deferred: list[tuple[str, tuple[str, SweepCell]]] = []
         keys: set[str] = set()
-        for tenant, (digest, cell) in self._scheduler.drain(self.batch_max):
+        for tenant, (digest, cell) in self._scheduler.drain(
+                DEFAULT_BATCH_MAX):
             if cell.key() in keys:
                 deferred.append((tenant, (digest, cell)))
                 continue

@@ -76,17 +76,7 @@ class FaultSet:
                 faults_mod.sample_link_failures(topology, cables, seed=seed))
         failed_uplinks: frozenset[int] = frozenset()
         if uplinks:
-            if not isinstance(topology, NestedTopology):
-                raise TopologyError(
-                    "uplink-port faults only apply to hybrid topologies, "
-                    f"not {topology.name!r}")
-            ports = [s * topology.plan.nodes + local
-                     for s in range(topology.num_subtori)
-                     for local in topology.plan.uplinked]
-            if uplinks > len(ports):
-                raise TopologyError(
-                    f"cannot fail {uplinks} uplink ports; only "
-                    f"{len(ports)} exist")
+            ports = faults_mod.uplink_ports(topology, uplinks)
             # independent sub-stream so cable and port draws never collide
             rng = np.random.default_rng([seed, 0xFA])
             chosen = rng.choice(len(ports), size=uplinks, replace=False)

@@ -75,13 +75,13 @@ class VulnerabilityReport:
                 f"{self.reroutable_fraction * 100:.1f}% of those reroutable")
 
 
-def sample_link_failures(topology: Topology, count: int, *,
-                         seed: int = 0) -> set[int]:
-    """Pick ``count`` random failed *duplex* cables (both directions die).
+def duplex_cables(topology: Topology, count: int) -> list[tuple[int, ...]]:
+    """The directed link ids of every network cable, one tuple per cable
+    in order of its first link id; ``count`` cables must exist.
 
     NIC links never fail (a dead NIC is a dead node, a different model).
     """
-    pairs = {}
+    pairs: dict[tuple[int, int], list[int]] = {}
     nic_base = topology.num_endpoints + topology.num_switches
     for lid in range(topology.links.num_links):
         u, v = topology.links.endpoints_of(lid)
@@ -92,12 +92,34 @@ def sample_link_failures(topology: Topology, count: int, *,
     if count > len(pairs):
         raise TopologyError(
             f"cannot fail {count} cables; only {len(pairs)} exist")
+    return [tuple(lids) for lids in pairs.values()]
+
+
+def uplink_ports(topology: Topology, count: int) -> list[int]:
+    """The endpoint ids of every hybrid uplink port, subtorus by subtorus;
+    ``count`` ports must exist."""
+    if not isinstance(topology, NestedTopology):
+        raise TopologyError(
+            "uplink-port faults only apply to hybrid topologies, "
+            f"not {topology.name!r}")
+    ports = [s * topology.plan.nodes + local
+             for s in range(topology.num_subtori)
+             for local in topology.plan.uplinked]
+    if count > len(ports):
+        raise TopologyError(
+            f"cannot fail {count} uplink ports; only {len(ports)} exist")
+    return ports
+
+
+def sample_link_failures(topology: Topology, count: int, *,
+                         seed: int = 0) -> set[int]:
+    """Pick ``count`` random failed *duplex* cables (both directions die)."""
+    cables = duplex_cables(topology, count)
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(pairs), size=count, replace=False)
-    keys = list(pairs)
+    chosen = rng.choice(len(cables), size=count, replace=False)
     failed: set[int] = set()
     for i in chosen:
-        failed.update(pairs[keys[int(i)]])
+        failed.update(cables[int(i)])
     return failed
 
 

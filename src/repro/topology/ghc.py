@@ -68,6 +68,9 @@ class GHCFabric:
         An explicit ``ports_per_switch`` is honoured (lowered to the
         largest divisor of ``ports`` so every switch hosts the same count).
         """
+        if ports < 1:
+            raise TopologyError(f"a GHC fabric needs at least 1 port, "
+                                f"got {ports}")
         if ports_per_switch is not None:
             pps = min(ports_per_switch, ports)
             while ports % pps:

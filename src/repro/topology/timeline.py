@@ -34,7 +34,7 @@ import numpy as np
 from repro.errors import TopologyError
 from repro.topology.base import Topology
 from repro.topology.degraded import FaultSet, validate_fault_ids
-from repro.topology.hybrid import NestedTopology
+from repro.topology.faults import duplex_cables, uplink_ports
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,7 @@ class FaultTimeline:
                 f"got {mttr}")
         events: list[FaultEvent] = []
         if cables:
-            pairs = _duplex_cables(topology)
-            if cables > len(pairs):
-                raise TopologyError(
-                    f"cannot fail {cables} cables; only {len(pairs)} exist")
+            pairs = duplex_cables(topology, cables)
             # independent sub-streams: cable identity, failure times and
             # repair delays never perturb each other across parameter changes
             rng = np.random.default_rng([seed, 0x71])
@@ -150,17 +147,7 @@ class FaultTimeline:
                     events.append(FaultEvent(t + float(delays[i]),
                                              repair_links=lids))
         if uplinks:
-            if not isinstance(topology, NestedTopology):
-                raise TopologyError(
-                    "uplink-port faults only apply to hybrid topologies, "
-                    f"not {topology.name!r}")
-            ports = [s * topology.plan.nodes + local
-                     for s in range(topology.num_subtori)
-                     for local in topology.plan.uplinked]
-            if uplinks > len(ports):
-                raise TopologyError(
-                    f"cannot fail {uplinks} uplink ports; only "
-                    f"{len(ports)} exist")
+            ports = uplink_ports(topology, uplinks)
             rng = np.random.default_rng([seed, 0x7A])
             chosen = rng.choice(len(ports), size=uplinks, replace=False)
             times = rng.uniform(0.0, horizon, size=uplinks)
@@ -272,24 +259,6 @@ class FaultTimeline:
         span = (self.events[0].time, self.events[-1].time)
         return (f"{fails} failures, {repairs} repairs over "
                 f"[{span[0]:g}s, {span[1]:g}s]")
-
-
-def _duplex_cables(topology: Topology) -> list[tuple[int, ...]]:
-    """Directed-link-id pairs of every network cable, in id order.
-
-    The same enumeration :func:`repro.topology.faults.sample_link_failures`
-    uses, kept separate because the timeline needs the *grouping* (a repair
-    restores the whole cable, not one direction).
-    """
-    pairs: dict[tuple[int, int], list[int]] = {}
-    nic_base = topology.num_endpoints + topology.num_switches
-    for lid in range(topology.links.num_links):
-        u, v = topology.links.endpoints_of(lid)
-        if u >= nic_base or v >= nic_base:
-            continue  # NIC link
-        key = (min(u, v), max(u, v))
-        pairs.setdefault(key, []).append(lid)
-    return [tuple(lids) for lids in pairs.values()]
 
 
 @dataclass(frozen=True)

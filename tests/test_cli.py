@@ -210,6 +210,51 @@ class TestInputValidation:
         assert "unknown topology family 'hypercube'" in err
         assert "nesttree" in err  # choices listed
 
+    @pytest.mark.parametrize("argv,named", [
+        (["run", "--topology", "torus", "--workload", "reduce",
+          "--endpoints", "64", "--tasks", "-3"], "--tasks"),
+        # 0 tasks used to run silently on every endpoint
+        (["run", "--topology", "torus", "--workload", "reduce",
+          "--endpoints", "64", "--tasks", "0"], "--tasks"),
+        (["run", "--topology", "torus", "--workload", "nbodies",
+          "--endpoints", "64", "--tasks", "1"], "2 tasks, got 1"),
+        (["fig4", "--endpoints", "64", "--workloads", "nbodies",
+          "--quadratic-tasks", "0"], "--quadratic-tasks"),
+        (["optimize", "--endpoints", "64", "--budget", "2", "--workloads",
+          "nbodies", "--quadratic-tasks", "0"], "--quadratic-tasks"),
+        (["table1", "--endpoints", "64", "--max-pairs", "-5"], "--max-pairs"),
+        # 0 pairs used to print an all-zero table
+        (["table1", "--endpoints", "64", "--max-pairs", "0"], "--max-pairs"),
+        (["table1", "--endpoints", "64", "--seed", "-1"], "--seed"),
+        (["run", "--topology", "torus", "--t", "2", "--workload", "reduce",
+          "--endpoints", "64"], "--t"),
+        (["table2", "--endpoints", "7"], "GHC fabric"),
+    ], ids=["run-tasks-negative", "run-tasks-zero", "run-nbodies-one-task",
+            "fig4-quadratic-tasks", "optimize-quadratic-tasks",
+            "table1-max-pairs-negative", "table1-max-pairs-zero",
+            "table1-seed-negative", "run-t-on-torus", "table2-tiny"])
+    def test_bad_input_is_one_line_not_a_traceback(self, capsys, argv,
+                                                   named):
+        err = self._error(capsys, argv)
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and named in errors[0]
+        assert "Traceback" not in err
+
+    def test_batch_max_is_not_an_option(self, capsys, tmp_path):
+        err = self._error(capsys, ["serve", "--store", str(tmp_path / "s"),
+                                   "--batch-max", "8"])
+        assert "unrecognized arguments: --batch-max 8" in err
+
+    def test_run_time_failure_exits_1_with_one_line(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "res.csv"
+        assert main(["resilience", "--endpoints", "64", "--workload",
+                     "reduce", "--topologies", "torus", "--quiet",
+                     "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro resilience: error:")
+        assert str(out) in lines[0]
+
     @pytest.mark.parametrize("argv", [
         ["serve", "--endpoints", "64", "--port", "0", "--store"],
         ["fig4", "--endpoints", "64", "--workloads", "allreduce", "--quiet",

@@ -94,21 +94,32 @@ class TestWorkloadDefaults:
 
 
 class TestPlacementPolicy:
+    """The plan cells carry each workload's placement policy, and the
+    sweep runner turns it into the placement the cell simulates."""
+
     def test_nbodies_gets_fragmented_allocation(self):
         from repro.core.explorer import PLACEMENT_POLICY
+        from repro.sweep.runner import _prepare_workload
 
         explorer = DesignSpaceExplorer(512, quadratic_tasks=64)
         assert PLACEMENT_POLICY["nbodies"] == "random"
-        placement = explorer._placement("nbodies", 64)
-        spread = explorer._placement("mapreduce", 64)
+        plan = explorer.plan(["nbodies", "mapreduce"])
+        cells = {cell.workload.name: cell for cell in plan.cells}
+        assert cells["nbodies"].placement == "random"
+        assert cells["mapreduce"].placement == "spread"
+        placement = _prepare_workload(plan, cells["nbodies"], {})[1]
+        spread = _prepare_workload(plan, cells["mapreduce"], {})[1]
         assert placement is not None and spread is not None
         # random placement is scattered, spread is strided
         assert sorted(placement.tolist()) != placement.tolist()
         assert spread.tolist() == sorted(spread.tolist())
 
     def test_full_occupancy_is_identity(self):
-        explorer = DesignSpaceExplorer(64)
-        assert explorer._placement("allreduce", 64) is None
+        from repro.sweep.runner import _prepare_workload
+
+        plan = DesignSpaceExplorer(64).plan(["allreduce"])
+        assert plan.cells[0].placement == "spread"
+        assert _prepare_workload(plan, plan.cells[0], {})[1] is None
 
 
 class TestSkippedConfigs:
