@@ -223,3 +223,33 @@ def neighbors(coord: Coord, radices: Sequence[int], *, torus: bool = True) -> li
                 seen.add(t)
                 out.append(t)
     return out
+
+
+def neighbor_links(radices: Sequence[int], *, torus: bool = True
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Every directed neighbour pair ``(src, dst)`` of a torus or mesh,
+    over :func:`coord_to_index` indices.
+
+    Index-major, and per index in :func:`neighbors` order: dimension by
+    dimension, the +1 neighbour before the -1 one.  A radix-2 torus
+    dimension gives one neighbour (both wraps reach it), a radix-1
+    dimension none, and a mesh skips the steps that leave the grid.
+    """
+    radix = np.asarray(radices, dtype=np.int64)
+    stride = np.cumprod(np.concatenate(([1], radix)))[:-1]
+    index = np.arange(int(np.prod(radix)), dtype=np.int64)
+    cols, keep = [], []
+    for k, s in zip(radix.tolist(), stride.tolist()):
+        if k == 1:
+            continue
+        coord = (index // s) % k
+        for step in (1,) if torus and k == 2 else (1, -1):
+            moved = coord + step
+            keep.append(np.ones_like(index, dtype=bool) if torus
+                        else (moved >= 0) & (moved < k))
+            cols.append(index + (moved % k - coord) * s)
+    if not cols:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    grid = np.stack(cols, axis=1)
+    mask = np.stack(keep, axis=1)
+    return np.broadcast_to(index[:, None], grid.shape)[mask], grid[mask]

@@ -11,6 +11,9 @@ Python loop over the rows.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence
+
 import numpy as np
 
 CSR = tuple[np.ndarray, np.ndarray]
@@ -21,6 +24,14 @@ def from_lengths(lengths: np.ndarray) -> np.ndarray:
     indptr = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
     return indptr
+
+
+def from_rows(rows: Sequence[Sequence[int]]) -> CSR:
+    """A batch holding the given rows of ints."""
+    indptr = from_lengths(np.fromiter(map(len, rows), dtype=np.int64,
+                                      count=len(rows)))
+    return indptr, np.fromiter(itertools.chain.from_iterable(rows),
+                               dtype=np.int64, count=int(indptr[-1]))
 
 
 def singletons(values: np.ndarray) -> CSR:

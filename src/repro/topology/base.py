@@ -19,6 +19,7 @@ what serialises the ``Reduce`` hot-spot identically everywhere (paper §5.2:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -67,15 +68,16 @@ class Topology(ABC):
     # ----------------------------------------------------------- construction
     def _finalize(self) -> None:
         """Append NIC (injection/consumption) links and freeze the table."""
-        base = self.num_endpoints + self.num_switches
-        inj, cons = [], []
-        for e in range(self.num_endpoints):
-            nic_in = base + e                      # virtual source vertex
-            nic_out = base + self.num_endpoints + e  # virtual sink vertex
-            inj.append(self.links.add(nic_in, e, self.nic_capacity))
-            cons.append(self.links.add(e, nic_out, self.nic_capacity))
-        self._inj = np.asarray(inj, dtype=np.int64)
-        self._cons = np.asarray(cons, dtype=np.int64)
+        n = self.num_endpoints
+        e = np.arange(n, dtype=np.int64)
+        nic_in = n + self.num_switches + e        # virtual source vertices
+        nic_out = nic_in + n                      # virtual sink vertices
+        # per endpoint: its injection link, then its consumption link
+        ids = self.links.add_links(np.stack((nic_in, e), axis=1).ravel(),
+                                   np.stack((e, nic_out), axis=1).ravel(),
+                                   self.nic_capacity)
+        self._inj = ids[0::2]
+        self._cons = ids[1::2]
         self.links.freeze()
 
     # ---------------------------------------------------------------- routing
@@ -105,17 +107,15 @@ class Topology(ABC):
         ``links[indptr[i]:indptr[i + 1]]``, equals
         ``route(src[i], dst[i])`` exactly, NIC links included (so a pair
         with ``src == dst`` gets its two NIC links).  Out-of-range
-        endpoints raise :class:`RoutingError`.  This default loops over
-        :meth:`route`; the torus/mesh, fattree, GHC and nested families
+        endpoints raise :class:`RoutingError`.  This default walks each
+        pair with :meth:`vertex_path` and translates all the walks with
+        one link lookup; the torus/mesh, fattree, GHC and nested families
         override it with vectorised walks.
         """
         src, dst = self._check_endpoints(src, dst)
-        rows = [self.route(s, d) for s, d in zip(src.tolist(), dst.tolist())]
-        indptr = walks.from_lengths(
-            np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))
-        links = np.fromiter((lid for row in rows for lid in row),
-                            dtype=np.int64, count=int(indptr[-1]))
-        return indptr, links
+        return self._walk_routes(src, dst, walks.from_rows(
+            [self.vertex_path(s, d)
+             for s, d in zip(src.tolist(), dst.tolist())]))
 
     def _walk_routes(self, src: np.ndarray, dst: np.ndarray,
                      batch: walks.CSR) -> tuple[np.ndarray, np.ndarray]:
@@ -159,21 +159,39 @@ class Topology(ABC):
         path.  Candidates are deduplicated and capped at
         :data:`MAX_ROUTE_CANDIDATES`.
         """
+        return self.route_candidates_many([(src, dst)])[0]
+
+    def route_candidates_many(self, pairs: Sequence[tuple[int, int]]
+                              ) -> list[list[list[int]]]:
+        """:meth:`route_candidates` of every ``(src, dst)`` pair, in order.
+
+        Every hop of every pair's candidate walks is translated with one
+        link lookup, so a batch of pairs costs one lookup, not one per
+        pair or per walk.
+        """
         if self._inj is None or self._cons is None:
             raise RoutingError("topology not finalised; call _finalize()")
-        self._check_endpoint(src)
-        self._check_endpoint(dst)
-        inj, cons = int(self._inj[src]), int(self._cons[dst])
-        out: list[list[int]] = []
-        seen: set[tuple[int, ...]] = set()
-        for walk in self.vertex_path_candidates(src, dst):
-            key = tuple(walk)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append([inj, *self.links.path_to_links(walk), cons])
-            if len(out) >= MAX_ROUTE_CANDIDATES:
-                break
+        per_pair = []
+        for src, dst in pairs:
+            self._check_endpoint(src)
+            self._check_endpoint(dst)
+            # dict keys dedupe the walks and keep their order
+            unique = dict.fromkeys(map(tuple,
+                                       self.vertex_path_candidates(src, dst)))
+            per_pair.append(list(unique)[:MAX_ROUTE_CANDIDATES])
+        ids = self.links.ids_of(
+            [a for rows in per_pair for w in rows for a in w[:-1]],
+            [b for rows in per_pair for w in rows for b in w[1:]]).tolist()
+        out: list[list[list[int]]] = []
+        at = 0
+        for (src, dst), rows in zip(pairs, per_pair):
+            inj, cons = int(self._inj[src]), int(self._cons[dst])
+            routes = []
+            for walk in rows:
+                hops = len(walk) - 1
+                routes.append([inj, *ids[at:at + hops], cons])
+                at += hops
+            out.append(routes)
         return out
 
     def hops(self, src: int, dst: int) -> int:
@@ -278,17 +296,58 @@ class Topology(ABC):
         return src, dst
 
 
-def fabric_walks(src: np.ndarray, dst: np.ndarray, fabric,
-                 offset: int) -> walks.CSR:
-    """Vertex walks of endpoints attached one per port to a switch fabric.
+class FabricTopology(Topology):
+    """Endpoints attached one per port of a switch fabric.
 
-    The batch twin of the fattree and GHC ``vertex_path``: ``[src]`` when
-    the endpoints coincide, else ``src``, the fabric's
-    ``port_path_batch`` switches (local ids shifted by ``offset``), and
-    ``dst``.
+    The fattree, thin-tree and GHC families: endpoint ``e`` hangs off
+    fabric port ``e`` by one duplex access cable.  The fabric supplies the
+    switch counts, its switch-to-switch links and its port-to-port
+    switch walks (``port_path``, ``port_paths``, ``port_path_batch``);
+    switch ``s`` of the fabric is vertex ``num_endpoints + s``.
     """
-    apart = src != dst
-    ptr, switches = fabric.port_path_batch(src[apart], dst[apart])
-    return walks.concat_rows(walks.singletons(src),
-                             walks.spread(apart, (ptr, switches + offset)),
-                             walks.spread(apart, walks.singletons(dst[apart])))
+
+    def __init__(self, fabric, link_capacity: float,
+                 nic_capacity: float | None) -> None:
+        super().__init__(fabric.num_ports, fabric.num_switches,
+                         link_capacity, nic_capacity)
+        self.fabric = fabric
+        self._switch_offset = offset = self.num_endpoints
+        fabric.build_links(self.links, offset, link_capacity)
+        ports = np.arange(self.num_endpoints, dtype=np.int64)
+        self.links.add_cables(ports, offset + fabric.port_switches(ports),
+                              link_capacity)
+        self._finalize()
+
+    def vertex_path(self, src: int, dst: int) -> list[int]:
+        self._check_endpoint(src)
+        self._check_endpoint(dst)
+        if src == dst:
+            return [src]
+        return [src, *(self._switch_offset + s
+                       for s in self.fabric.port_path(src, dst)), dst]
+
+    def routes(self, src: np.ndarray, dst: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`vertex_path` walks: ``[src]`` when the endpoints
+        coincide, else ``src``, the fabric's ``port_path_batch`` switches
+        and ``dst``."""
+        src, dst = self._check_endpoints(src, dst)
+        apart = src != dst
+        ptr, switches = self.fabric.port_path_batch(src[apart], dst[apart])
+        return self._walk_routes(src, dst, walks.concat_rows(
+            walks.singletons(src),
+            walks.spread(apart, (ptr, switches + self._switch_offset)),
+            walks.spread(apart, walks.singletons(dst[apart]))))
+
+    def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
+        """One walk per minimal fabric walk, the deterministic one first."""
+        self._check_endpoint(src)
+        self._check_endpoint(dst)
+        if src == dst:
+            return [[src]]
+        return [[src, *(self._switch_offset + s for s in body), dst]
+                for body in self.fabric.port_paths(src, dst)]
+
+    def routing_diameter(self) -> int:
+        """Worst-case endpoint-to-endpoint hop count."""
+        return self.fabric.routing_diameter()

@@ -72,10 +72,10 @@ def overhead_row(label: str, num_switches: int, num_endpoints: int,
 
 def fattree_switch_count(ports: int, stages: int = 3) -> int:
     """Planned switch count of the upper-tier fattree for ``ports`` uplinks."""
-    from repro.routing.updown import switch_count
+    from repro.topology.fattree import FatTreeFabric
     from repro.topology.planner import fattree_arities
 
-    return switch_count(fattree_arities(ports, stages))
+    return FatTreeFabric(fattree_arities(ports, stages)).num_switches
 
 
 def ghc_switch_count(ports: int, ports_per_switch: int = 16,

@@ -31,12 +31,14 @@ Rerouting semantics, in order:
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import DegradedNetworkError, TopologyError
+from repro.routing import walks
 from repro.topology import faults as faults_mod
 from repro.topology.base import Topology
 from repro.topology.hybrid import NestedTopology
@@ -258,26 +260,42 @@ class DegradedTopology(Topology):
         on the links that are still up.
         """
         det = self.vertex_path(src, dst)
-        out = [det]
-        for walk in self.base.vertex_path_candidates(src, dst):
-            if walk != det and self._walk_survives(walk):
-                out.append(walk)
-        return out
+        others = [walk for walk in self.base.vertex_path_candidates(src, dst)
+                  if walk != det]
+        return [det, *itertools.compress(others, self._walks_survive(others))]
 
     def _walk_survives(self, path: list[int]) -> bool:
         """True when the walk avoids failed cables and dead uplink ports."""
-        failed = self.faults.failed_links
-        dead_ports = self.faults.failed_uplinks
-        ep = self.num_endpoints
-        for a, b in zip(path, path[1:]):
-            if self.links.id_of(a, b) in failed:
-                return False
-            if dead_ports:
-                # entering/leaving the upper tier through a dead port
-                if (a < ep <= b and a in dead_ports) or \
-                        (b < ep <= a and b in dead_ports):
-                    return False
-        return True
+        return self._walks_survive([path])[0]
+
+    def _walks_survive(self, paths: list[list[int]]) -> list[bool]:
+        """Per walk, True when it avoids failed cables and dead uplink
+        ports; every hop of every walk is looked up at once."""
+        ids = self.links.ids_of([a for w in paths for a in w[:-1]],
+                                [b for w in paths for b in w[1:]])
+        return _clean_rows(
+            np.cumsum([0, *(len(w) - 1 for w in paths)]),
+            self.disabled_link_mask()[ids])
+
+    def routes(self, src: np.ndarray, dst: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`route`: the base machine's routes, except that
+        each pair whose route crosses a disabled link is rerouted as
+        :meth:`vertex_path` does, in pair order."""
+        src, dst = self._check_endpoints(src, dst)
+        indptr, links = self.base.routes(src, dst)
+        keep = np.asarray(_clean_rows(indptr,
+                                      self.disabled_link_mask()[links]))
+        if keep.all():
+            return indptr, links
+        lengths = np.diff(indptr)
+        kept = (walks.from_lengths(lengths[keep]),
+                links[np.repeat(keep, lengths)])
+        rerouted = walks.from_rows([
+            self.route(s, d) for s, d in zip(src[~keep].tolist(),
+                                             dst[~keep].tolist())])
+        return walks.concat_rows(walks.spread(keep, kept),
+                                 walks.spread(~keep, rerouted))
 
     def _surviving_adjacency(self) -> list[list[int]]:
         """Adjacency over endpoints+switches, failed hops removed.
@@ -287,23 +305,15 @@ class DegradedTopology(Topology):
         """
         if self._adjacency is None:
             n = self.num_endpoints + self.num_switches
-            ep = self.num_endpoints
-            failed = self.faults.failed_links
-            dead_ports = self.faults.failed_uplinks
-            adj: list[list[int]] = [[] for _ in range(n)]
-            for lid, (u, v) in enumerate(zip(self.links.sources,
-                                             self.links.destinations)):
-                if u >= n or v >= n:
-                    continue  # NIC link
-                if lid in failed:
-                    continue
-                if (u < ep <= v and u in dead_ports) or \
-                        (v < ep <= u and v in dead_ports):
-                    continue
-                adj[u].append(v)
-            for neighbours in adj:
-                neighbours.sort()
-            self._adjacency = adj
+            src, dst = self.links.sources, self.links.destinations
+            # NIC links and disabled links (failed cables, dead ports) out
+            up = np.flatnonzero((src < n) & (dst < n)
+                                & ~self.disabled_link_mask())
+            order = np.lexsort((dst[up], src[up]))
+            bounds = np.searchsorted(src[up][order], np.arange(n + 1)).tolist()
+            heads = dst[up][order].tolist()
+            self._adjacency = [heads[bounds[u]:bounds[u + 1]]
+                               for u in range(n)]
         return self._adjacency
 
     def _endpoint_can_transit(self, endpoint: int, src: int, dst: int) -> bool:
@@ -367,6 +377,13 @@ class DegradedTopology(Topology):
         if name.startswith("_") or "base" not in self.__dict__:
             raise AttributeError(name)
         return getattr(self.base, name)
+
+
+def _clean_rows(indptr, disabled: np.ndarray) -> list[bool]:
+    """Per CSR row, True when none of its entries is ``disabled``."""
+    hits = np.concatenate(([0], np.cumsum(disabled)))
+    indptr = np.asarray(indptr)
+    return (hits[indptr[1:]] == hits[indptr[:-1]]).tolist()
 
 
 def degrade(topology: Topology, *, cables: int = 0, uplinks: int = 0,

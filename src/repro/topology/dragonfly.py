@@ -21,6 +21,8 @@ by tests.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.topology.base import Topology
 from repro.units import DEFAULT_LINK_CAPACITY
@@ -69,20 +71,20 @@ class DragonflyTopology(Topology):
             self.name = "dragonfly-valiant"
         self._switch_offset = self.num_endpoints
 
-        # intra-group full mesh
-        for g in range(groups):
-            for r1 in range(a):
-                for r2 in range(r1 + 1, a):
-                    self.links.add_duplex(self._router(g, r1),
-                                          self._router(g, r2), link_capacity)
-        # one global cable per group pair (absolute arrangement)
-        for gi in range(groups):
-            for gj in range(gi + 1, groups):
-                self.links.add_duplex(self._gateway(gi, gj),
-                                      self._gateway(gj, gi), link_capacity)
+        offset = self._switch_offset
+        # intra-group full mesh: group by group, router pairs r1 < r2
+        r1, r2 = np.triu_indices(a, 1)
+        first = offset + np.arange(groups, dtype=np.int64)[:, None] * a
+        self.links.add_cables((first + r1).ravel(), (first + r2).ravel(),
+                              link_capacity)
+        # one global cable per group pair gi < gj (absolute arrangement:
+        # gi's port towards gj is gj - 1, gj's port towards gi is gi)
+        gi, gj = np.triu_indices(groups, 1)
+        self.links.add_cables(offset + gi * a + (gj - 1) // h,
+                              offset + gj * a + gi // h, link_capacity)
         # endpoint access links
-        for e in range(self.num_endpoints):
-            self.links.add_duplex(e, self._router_of(e), link_capacity)
+        ends = np.arange(self.num_endpoints, dtype=np.int64)
+        self.links.add_cables(ends, offset + ends // p, link_capacity)
         self._finalize()
 
     # ---------------------------------------------------------------- layout

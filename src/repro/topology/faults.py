@@ -81,18 +81,21 @@ def duplex_cables(topology: Topology, count: int) -> list[tuple[int, ...]]:
 
     NIC links never fail (a dead NIC is a dead node, a different model).
     """
-    pairs: dict[tuple[int, int], list[int]] = {}
     nic_base = topology.num_endpoints + topology.num_switches
-    for lid in range(topology.links.num_links):
-        u, v = topology.links.endpoints_of(lid)
-        if u >= nic_base or v >= nic_base:
-            continue  # NIC link
-        key = (min(u, v), max(u, v))
-        pairs.setdefault(key, []).append(lid)
-    if count > len(pairs):
+    src, dst = topology.links.sources, topology.links.destinations
+    lids = np.flatnonzero((src < nic_base) & (dst < nic_base))  # no NIC links
+    key = (np.minimum(src[lids], dst[lids]) * nic_base
+           + np.maximum(src[lids], dst[lids]))
+    order = np.argsort(key, kind="stable")  # ascending link ids per cable
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    if count > starts.shape[0]:
         raise TopologyError(
-            f"cannot fail {count} cables; only {len(pairs)} exist")
-    return [tuple(lids) for lids in pairs.values()]
+            f"cannot fail {count} cables; only {starts.shape[0]} exist")
+    grouped = lids[order]
+    bounds = [*starts.tolist(), grouped.shape[0]]
+    members = grouped.tolist()
+    return [tuple(members[bounds[i]:bounds[i + 1]])
+            for i in np.argsort(grouped[starts], kind="stable").tolist()]
 
 
 def uplink_ports(topology: Topology, count: int) -> list[int]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import TopologyError
 from repro.routing import ecube, walks
-from repro.topology.base import Topology, fabric_walks
+from repro.topology.base import FabricTopology
 from repro.topology.linktable import LinkTable
 from repro.topology.planner import ghc_radices
 from repro.units import DEFAULT_LINK_CAPACITY
@@ -113,17 +113,31 @@ class GHCFabric:
             raise TopologyError(f"GHC port {port} out of range")
         return port // self.ports_per_switch
 
+    def port_switches(self, ports: np.ndarray) -> np.ndarray:
+        """:meth:`port_switch` of many ports (not range-checked)."""
+        return ports // self.ports_per_switch
+
     # ------------------------------------------------------------------ build
     def build_links(self, links: LinkTable, offset: int, capacity: float) -> None:
-        """Register every duplex switch-to-switch link, ids offset by ``offset``."""
-        for sw in range(self.num_switches):
-            coord = self.coord_of(sw)
-            stride = 1
-            for dim, k in enumerate(self.radices):
-                for v in range(coord[dim] + 1, k):
-                    other = sw + (v - coord[dim]) * stride
-                    links.add_duplex(offset + sw, offset + other, capacity)
-                stride *= k
+        """Register every duplex switch-to-switch link, ids offset by
+        ``offset``, in one batch: switch by switch, each cable to a switch
+        with a higher coordinate in one dimension, dimension by dimension
+        and then by that coordinate."""
+        sw = np.arange(self.num_switches, dtype=np.int64)
+        cols, keep = [], []
+        stride = 1
+        for k in self.radices:
+            coord = (sw // stride) % k
+            for step in range(1, k):
+                cols.append(sw + step * stride)
+                keep.append(coord + step < k)
+            stride *= k
+        if cols:
+            grid = np.stack(cols, axis=1)
+            mask = np.stack(keep, axis=1)
+            links.add_cables(offset + np.broadcast_to(sw[:, None],
+                                                      grid.shape)[mask],
+                             offset + grid[mask], capacity)
 
     # ---------------------------------------------------------------- routing
     def port_path(self, src_port: int, dst_port: int) -> list[int]:
@@ -180,7 +194,7 @@ class GHCFabric:
         return ecube.degree(self.radices)
 
 
-class GHCTopology(Topology):
+class GHCTopology(FabricTopology):
     """Standalone generalised hypercube with endpoints attached to switches."""
 
     name = "ghc"
@@ -189,40 +203,5 @@ class GHCTopology(Topology):
                  ports_per_switch: int = DEFAULT_PORTS_PER_SWITCH, *,
                  link_capacity: float = DEFAULT_LINK_CAPACITY,
                  nic_capacity: float | None = None) -> None:
-        fabric = GHCFabric(radices, ports_per_switch)
-        super().__init__(fabric.num_ports, fabric.num_switches,
+        super().__init__(GHCFabric(radices, ports_per_switch),
                          link_capacity, nic_capacity)
-        self.fabric = fabric
-        offset = self.num_endpoints
-        fabric.build_links(self.links, offset, link_capacity)
-        for e in range(self.num_endpoints):
-            self.links.add_duplex(e, offset + fabric.port_switch(e), link_capacity)
-        self._switch_offset = offset
-        self._finalize()
-
-    def vertex_path(self, src: int, dst: int) -> list[int]:
-        self._check_endpoint(src)
-        self._check_endpoint(dst)
-        if src == dst:
-            return [src]
-        body = [self._switch_offset + s for s in self.fabric.port_path(src, dst)]
-        return [src, *body, dst]
-
-    def routes(self, src: np.ndarray, dst: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        src, dst = self._check_endpoints(src, dst)
-        return self._walk_routes(
-            src, dst, fabric_walks(src, dst, self.fabric, self._switch_offset))
-
-    def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
-        """All minimal e-cube walks (every dimension-correction order)."""
-        self._check_endpoint(src)
-        self._check_endpoint(dst)
-        if src == dst:
-            return [[src]]
-        return [[src, *(self._switch_offset + s for s in body), dst]
-                for body in self.fabric.port_paths(src, dst)]
-
-    def routing_diameter(self) -> int:
-        """Worst-case endpoint-to-endpoint hop count."""
-        return self.fabric.routing_diameter()

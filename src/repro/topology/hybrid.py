@@ -45,6 +45,7 @@ class UpperFabric(Protocol):
 
     def build_links(self, links: LinkTable, offset: int, capacity: float) -> None: ...
     def port_switch(self, port: int) -> int: ...
+    def port_switches(self, ports: np.ndarray) -> np.ndarray: ...
     def port_path(self, src_port: int, dst_port: int) -> list[int]: ...
     def port_paths(self, src_port: int, dst_port: int) -> list[list[int]]: ...
     def port_path_batch(self, src_ports: np.ndarray,
@@ -185,25 +186,18 @@ class NestedTopology(Topology):
         self.num_subtori = num_subtori
         self._switch_offset = num_endpoints
 
-        # lower tier: one independent torus per subtorus
-        for s in range(num_subtori):
-            base = s * plan.nodes
-            for local in range(plan.nodes):
-                coord = dor.index_to_coord(local, plan.dims)
-                for nb in dor.neighbors(coord, plan.dims):
-                    self.links.add(base + local,
-                                   base + dor.coord_to_index(nb, plan.dims),
-                                   link_capacity)
-        # upper tier fabric + uplink access links
+        # lower tier: one independent torus per subtorus, subtorus-major
+        base = np.arange(num_subtori, dtype=np.int64)[:, None] * plan.nodes
+        local_src, local_dst = dor.neighbor_links(plan.dims)
+        self.links.add_links((base + local_src).ravel(),
+                             (base + local_dst).ravel(), link_capacity)
+        # upper tier fabric + uplink access links, one per fabric port
         fabric.build_links(self.links, self._switch_offset, link_capacity)
-        uplinks_per_subtorus = len(plan.uplinked)
-        for s in range(num_subtori):
-            base = s * plan.nodes
-            for rank, local in enumerate(plan.uplinked):
-                port = s * uplinks_per_subtorus + rank
-                self.links.add_duplex(base + local,
-                                      self._switch_offset + fabric.port_switch(port),
-                                      link_capacity)
+        uplinked = (base + np.asarray(plan.uplinked, dtype=np.int64)).ravel()
+        self.links.add_cables(
+            uplinked, self._switch_offset + fabric.port_switches(
+                np.arange(uplinked.shape[0], dtype=np.int64)),
+            link_capacity)
         self._finalize()
 
     # ---------------------------------------------------------------- helpers
@@ -350,8 +344,6 @@ class NestedTopology(Topology):
         cables); ``uplinks`` — endpoint <-> upper-tier switch access links;
         ``upper_fabric`` — switch <-> switch links of the fattree/GHC.
         """
-        import numpy as np
-
         ep = self.num_endpoints
         nic_base = ep + self.num_switches
         srcs = np.asarray(self.links.sources, dtype=np.int64)

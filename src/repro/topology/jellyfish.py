@@ -13,6 +13,8 @@ practicality drawback the paper points out.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import RoutingError, TopologyError
 from repro.topology.base import Topology
 from repro.units import DEFAULT_LINK_CAPACITY
@@ -56,15 +58,19 @@ class JellyfishTopology(Topology):
         # sorted adjacency makes the BFS routing deterministic
         self._adj: list[list[int]] = [
             sorted(graph.neighbors(s)) for s in range(num_switches)]
-        for s in range(num_switches):
-            for t in self._adj[s]:
-                if t > s:
-                    self.links.add_duplex(self._switch_offset + s,
-                                          self._switch_offset + t,
-                                          link_capacity)
-        for e in range(self.num_endpoints):
-            self.links.add_duplex(e, self._switch_offset + e // ports_per_switch,
-                                  link_capacity)
+        # one cable per edge s < t, switch by switch (a regular graph:
+        # every adjacency row has ``degree`` entries)
+        adj = np.asarray(self._adj, dtype=np.int64)
+        lower = np.broadcast_to(
+            np.arange(num_switches, dtype=np.int64)[:, None], adj.shape)
+        upward = adj > lower
+        self.links.add_cables(self._switch_offset + lower[upward],
+                              self._switch_offset + adj[upward],
+                              link_capacity)
+        ends = np.arange(self.num_endpoints, dtype=np.int64)
+        self.links.add_cables(
+            ends, self._switch_offset + ends // ports_per_switch,
+            link_capacity)
         self._finalize()
         self._bfs_parent: dict[int, list[int]] = {}
 

@@ -8,12 +8,14 @@ actually be explored: a level-``l`` switch has ``k_l`` down-ports but only
 ``u_l <= k_l`` up-ports, thinning the tree towards the root by the
 over-subscription ratio ``prod(k_l / u_l)``.
 
-Construction generalises the fattree's switch-identity scheme
-(:mod:`repro.routing.updown`): intra-subtree switch digits at level ``l``
+Construction generalises the fattree's switch-identity scheme: a
+level-``l`` switch is ``(l, subtree, digits)``, its intra-subtree digits
 range over ``u_1 x ... x u_{l-1}`` instead of ``k_1 x ... x k_{l-1}``, and
-the d-mod-k up-port choice reduces the destination digit modulo ``u_l``.
-With ``u == k`` the layout and routes coincide with the fattree exactly
-(property-tested).
+routing is minimal UP*/DOWN* (climb to the nearest common ancestor, then
+descend), the d-mod-k up-port choice reducing the destination digit
+modulo ``u_l``.  With ``u == k`` the layout and routes are the fattree's:
+:class:`~repro.topology.fattree.FatTreeFabric` is this fabric with full
+up-arities.
 """
 
 from __future__ import annotations
@@ -21,10 +23,34 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.errors import TopologyError
-from repro.topology.base import Topology
+from repro.routing import walks
+from repro.topology.base import FabricTopology
 from repro.topology.linktable import LinkTable
 from repro.units import DEFAULT_LINK_CAPACITY
+
+
+def level_cables(subtrees: int, width: int, up: int, parent: int,
+                 lo_offset: int, hi_offset: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The up-cables from tree level ``l`` to level ``l + 1``, as
+    ``(lower, upper)`` local switch ids.
+
+    Level ``l`` has ``subtrees`` subtrees of ``width`` switches, each with
+    ``up`` up-ports, and ``parent`` level-``l`` subtrees share one
+    level-``l + 1`` subtree.  Switch ``(subtree, value)`` reaches, through
+    up-port ``x``, switch ``(subtree // parent, value + x * width)`` one
+    level up, whose subtrees hold ``width * up`` switches.  Cables come in
+    ``(subtree, value, x)`` order.
+    """
+    sub = np.arange(subtrees, dtype=np.int64)[:, None, None]
+    value = np.arange(width, dtype=np.int64)[None, :, None]
+    x = np.arange(up, dtype=np.int64)[None, None, :]
+    hi = hi_offset + (sub // parent) * (width * up) + value + x * width
+    lo = np.broadcast_to(lo_offset + sub * width + value, hi.shape)
+    return lo.ravel(), hi.ravel()
 
 
 class ThinTreeFabric:
@@ -32,7 +58,9 @@ class ThinTreeFabric:
 
     ``down_arities[l]`` is the number of children per level-``l+1`` switch
     (``k``); ``up_arities[l]`` the number of up-ports of a level-``l+1``
-    switch (``k'``), with the top stage having none.
+    switch (``k'``), with the top stage having none.  Local switch ids are
+    dense in ``[0, num_switches)``, ordered by level, then subtree, then
+    intra-subtree digits; the owner topology adds a vertex offset.
     """
 
     def __init__(self, down_arities: Sequence[int],
@@ -57,7 +85,7 @@ class ThinTreeFabric:
         for k in down:
             self.num_ports *= k
         # group[l] = leaves per level-l subtree; digits[l] = switches per
-        # level-l subtree (product of up-arities below)
+        # level-(l+1) subtree (product of up-arities below)
         self._group = [1]
         for k in down:
             self._group.append(self._group[-1] * k)
@@ -82,31 +110,25 @@ class ThinTreeFabric:
                 + subtree * self._digits[level - 1] + value)
 
     def port_switch(self, port: int) -> int:
+        """Local id of the level-1 switch owning a leaf port."""
         if not 0 <= port < self.num_ports:
-            raise TopologyError(f"thin-tree port {port} out of range")
+            raise TopologyError(f"tree port {port} out of range")
         return port // self.down[0]
+
+    def port_switches(self, ports: np.ndarray) -> np.ndarray:
+        """:meth:`port_switch` of many ports (not range-checked)."""
+        return ports // self.down[0]
 
     # ------------------------------------------------------------------ build
     def build_links(self, links: LinkTable, offset: int, capacity: float) -> None:
-        """Register every duplex switch-to-switch link."""
+        """Register every duplex switch-to-switch link, ids offset by
+        ``offset``: one batch per level, lowest level first."""
         for level in range(1, self.num_stages):
-            subtrees = self.num_ports // self._group[level]
-            for subtree in range(subtrees):
-                for value in range(self._digits[level - 1]):
-                    digits = self._digits_of(value, level)
-                    lo = self.switch_id(level, subtree, digits)
-                    for x in range(self.up[level - 1]):
-                        hi = self.switch_id(level + 1,
-                                            subtree // self.down[level],
-                                            digits + (x,))
-                        links.add_duplex(offset + lo, offset + hi, capacity)
-
-    def _digits_of(self, value: int, level: int) -> tuple[int, ...]:
-        digits = []
-        for u in self.up[: level - 1]:
-            digits.append(value % u)
-            value //= u
-        return tuple(digits)
+            lo, hi = level_cables(
+                self.num_ports // self._group[level], self._digits[level - 1],
+                self.up[level - 1], self.down[level],
+                self._level_offset[level], self._level_offset[level + 1])
+            links.add_cables(offset + lo, offset + hi, capacity)
 
     # ---------------------------------------------------------------- routing
     def nca_level(self, a: int, b: int) -> int:
@@ -117,27 +139,16 @@ class ThinTreeFabric:
                 return level
         raise TopologyError("ports outside the tree")  # pragma: no cover
 
-    def port_path(self, src_port: int, dst_port: int) -> list[int]:
-        """Local switch-id sequence (minimal UP*/DOWN*, d-mod-k thinned)."""
-        if src_port == dst_port:
-            raise TopologyError("no switch path between identical ports")
-        a, b = self.port_switch(src_port), self.port_switch(dst_port)
-        if a == b:
-            return [a]
-        m = self.nca_level(src_port, dst_port)
-        # destination digits reduced modulo the up-arities
-        dst_digits = []
-        rem = dst_port
-        for k, u in zip(self.down[:-1], self.up):
-            dst_digits.append((rem % k) % u)
-            rem //= k
-
-        path = []
+    def _walk(self, src_port: int, dst_port: int, m: int,
+              climb: Sequence[int]) -> list[int]:
+        """The UP*/DOWN* switch walk to nearest-common-ancestor level
+        ``m``, taking up-port ``climb[l - 1]`` at level ``l``; the descent
+        follows the destination, truncating the digits."""
         subtree = src_port // self.down[0]
         digits: tuple[int, ...] = ()
-        path.append(self.switch_id(1, subtree, digits))
+        path = [self.switch_id(1, subtree, digits)]
         for level in range(1, m):
-            digits = digits + (dst_digits[level - 1],)
+            digits = digits + (climb[level - 1],)
             subtree //= self.down[level]
             path.append(self.switch_id(level + 1, subtree, digits))
         for level in range(m - 1, 0, -1):
@@ -146,45 +157,76 @@ class ThinTreeFabric:
                                        digits[: level - 1]))
         return path
 
-    def port_paths(self, src_port: int, dst_port: int) -> list[list[int]]:
+    def _dst_digits(self, dst_port: int) -> list[int]:
+        """The d-mod-k up-ports: destination digits modulo the up-arities."""
+        digits, rem = [], dst_port
+        for k, u in zip(self.down[:-1], self.up):
+            digits.append((rem % k) % u)
+            rem //= k
+        return digits
+
+    def port_path(self, src_port: int, dst_port: int) -> list[int]:
+        """Local switch-id sequence (minimal UP*/DOWN*, d-mod-k thinned)."""
+        return self.port_paths(src_port, dst_port, every=False)[0]
+
+    def port_paths(self, src_port: int, dst_port: int, *,
+                   every: bool = True) -> list[list[int]]:
         """All minimal switch-id walks: every up-digit choice per climb level,
-        with the deterministic d-mod-k combination first."""
+        with the deterministic d-mod-k combination first (only that one
+        with ``every=False``)."""
         if src_port == dst_port:
             raise TopologyError("no switch path between identical ports")
         a, b = self.port_switch(src_port), self.port_switch(dst_port)
         if a == b:
             return [[a]]
         m = self.nca_level(src_port, dst_port)
-        dst_digits = []
-        rem = dst_port
-        for k, u in zip(self.down[:-1], self.up):
-            dst_digits.append((rem % k) % u)
-            rem //= k
-        choices = []
-        for level in range(1, m):
-            det = dst_digits[level - 1]
-            choices.append((det, *(x for x in range(self.up[level - 1])
-                                   if x != det)))
+        det = self._dst_digits(dst_port)
+        if not every:
+            return [self._walk(src_port, dst_port, m, det)]
+        choices = [(det[level - 1], *(x for x in range(self.up[level - 1])
+                                      if x != det[level - 1]))
+                   for level in range(1, m)]
+        return [self._walk(src_port, dst_port, m, combo)
+                for combo in itertools.product(*choices)]
 
-        out: list[list[int]] = []
-        for combo in itertools.product(*choices):
-            path = []
-            subtree = src_port // self.down[0]
-            digits: tuple[int, ...] = ()
-            path.append(self.switch_id(1, subtree, digits))
-            for level in range(1, m):
-                digits = digits + (combo[level - 1],)
-                subtree //= self.down[level]
-                path.append(self.switch_id(level + 1, subtree, digits))
-            for level in range(m - 1, 0, -1):
-                path.append(self.switch_id(level,
-                                           dst_port // self._group[level],
-                                           digits[: level - 1]))
-            out.append(path)
-        return out
+    def port_path_batch(self, src_ports: np.ndarray,
+                        dst_ports: np.ndarray) -> walks.CSR:
+        """:meth:`port_path` for many distinct port pairs, as a CSR batch.
+
+        The d-mod-k climb to the nearest common ancestor level ``m`` visits
+        the level-``L`` switch of subtree ``src // K_L`` whose digits are
+        the destination's low ``L - 1`` digits (each modulo its
+        up-arity); the forced descent visits the level-``L`` switch of
+        subtree ``dst // K_L`` with the same digits, for
+        ``L = m - 1 .. 1``.  Ports are not range-checked.
+        """
+        src = np.asarray(src_ports, dtype=np.int64)[:, None]
+        dst = np.asarray(dst_ports, dtype=np.int64)[:, None]
+        if bool((src == dst).any()):
+            raise TopologyError("no switch path between identical ports")
+        stages = self.num_stages
+        group = np.asarray(self._group, dtype=np.int64)    # K_0 .. K_n
+        width = np.asarray(self._digits, dtype=np.int64)   # per subtree
+        offset = np.asarray(self._level_offset[1:], dtype=np.int64)
+        climb = ((dst // group[:-2]) % np.asarray(self.down[:-1])
+                 % np.asarray(self.up, dtype=np.int64))
+        # a level-L switch's intra-subtree value: its L - 1 climb digits
+        value = np.concatenate(
+            (np.zeros_like(src), np.cumsum(climb * width[:-1], axis=1)),
+            axis=1)
+        up = offset + (src // group[1:]) * width + value
+        down = offset + (dst // group[1:]) * width + value
+        # the NCA level is the lowest level whose subtrees coincide
+        nca = stages + 1 - (src // group[1:] == dst // group[1:]).sum(
+            axis=1, keepdims=True)
+        # columns: climb through levels 1..n, then descend n-1..1
+        grid = np.concatenate((up, down[:, :stages - 1][:, ::-1]), axis=1)
+        col = np.arange(2 * stages - 1)
+        return walks.from_grid(grid, (col < nca) | (col >= 2 * stages - nca))
 
     # --------------------------------------------------------------- analysis
     def routing_diameter(self) -> int:
+        """Worst-case port-to-port hop count (access links included)."""
         return 2 * self.num_stages
 
     def oversubscription(self) -> float:
@@ -195,7 +237,7 @@ class ThinTreeFabric:
         return worst
 
 
-class ThinTreeTopology(Topology):
+class ThinTreeTopology(FabricTopology):
     """Endpoints attached to a thin tree (one per leaf port)."""
 
     name = "thintree"
@@ -204,35 +246,5 @@ class ThinTreeTopology(Topology):
                  up_arities: Sequence[int], *,
                  link_capacity: float = DEFAULT_LINK_CAPACITY,
                  nic_capacity: float | None = None) -> None:
-        fabric = ThinTreeFabric(down_arities, up_arities)
-        super().__init__(fabric.num_ports, fabric.num_switches,
+        super().__init__(ThinTreeFabric(down_arities, up_arities),
                          link_capacity, nic_capacity)
-        self.fabric = fabric
-        offset = self.num_endpoints
-        fabric.build_links(self.links, offset, link_capacity)
-        for e in range(self.num_endpoints):
-            self.links.add_duplex(e, offset + fabric.port_switch(e),
-                                  link_capacity)
-        self._switch_offset = offset
-        self._finalize()
-
-    def vertex_path(self, src: int, dst: int) -> list[int]:
-        self._check_endpoint(src)
-        self._check_endpoint(dst)
-        if src == dst:
-            return [src]
-        body = [self._switch_offset + s
-                for s in self.fabric.port_path(src, dst)]
-        return [src, *body, dst]
-
-    def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
-        """All minimal UP*/DOWN* walks over the thinned up-ports."""
-        self._check_endpoint(src)
-        self._check_endpoint(dst)
-        if src == dst:
-            return [[src]]
-        return [[src, *(self._switch_offset + s for s in body), dst]
-                for body in self.fabric.port_paths(src, dst)]
-
-    def routing_diameter(self) -> int:
-        return self.fabric.routing_diameter()

@@ -42,10 +42,8 @@ class TorusTopology(Topology):
         if not wraparound:
             self.name = "mesh"
 
-        for e in range(n):
-            coord = dor.index_to_coord(e, dims)
-            for nb in dor.neighbors(coord, dims, torus=wraparound):
-                self.links.add(e, dor.coord_to_index(nb, dims), link_capacity)
+        self.links.add_links(*dor.neighbor_links(dims, torus=wraparound),
+                             link_capacity)
         self._finalize()
 
     @classmethod

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
-from repro.routing import updown
 from repro.topology import FatTreeFabric, FatTreeTopology
 from repro.topology.planner import fattree_arities
+from tests import updown_oracle as updown
 
 
 class TestFabricStructure:
@@ -24,9 +24,12 @@ class TestFabricStructure:
             per_subtree = group // fabric.arities[level - 1]
             for subtree in range(fabric.num_ports // group):
                 for dv in range(per_subtree):
-                    sw = updown.Switch(level, subtree,
-                                       fabric._digits_of(dv, level))
-                    idx = fabric.switch_index(sw)
+                    # dv's little-endian digits over the arities below
+                    digits, rest = [], dv
+                    for k in fabric.arities[:level - 1]:
+                        digits.append(rest % k)
+                        rest //= k
+                    idx = fabric.switch_id(level, subtree, tuple(digits))
                     assert 0 <= idx < fabric.num_switches
                     seen.add(idx)
         assert len(seen) == fabric.num_switches
@@ -117,3 +120,32 @@ class TestFabricLinkCount:
         # each of the n-1 stage boundaries carries `ports` duplex links
         expected = 2 * fabric.num_ports * (len(arities) - 1)
         assert table.num_links == expected
+
+
+class TestMatchesUpDownOracle:
+    """The fabric's array-built walks are the reference UP*/DOWN* rule's,
+    switch for switch, for every port pair."""
+
+    @pytest.mark.parametrize("arities", [(2, 4), (4, 4, 2), (3, 3, 3),
+                                         (4, 2, 2, 2)])
+    def test_walks_match_oracle(self, arities):
+        import numpy as np
+
+        fabric = FatTreeFabric(arities)
+
+        def ids(walk):
+            return [fabric.switch_id(s.level, s.subtree, s.digits)
+                    for s in walk]
+
+        pairs = [(a, b) for a in range(fabric.num_ports)
+                 for b in range(fabric.num_ports) if a != b]
+        ptr, switches = fabric.port_path_batch(*np.asarray(pairs).T)
+        for i, (a, b) in enumerate(pairs):
+            det = fabric.port_path(a, b)
+            assert switches[ptr[i]:ptr[i + 1]].tolist() == det
+            if fabric.port_switch(a) == fabric.port_switch(b):
+                assert det == [fabric.port_switch(a)]
+                continue
+            want = [ids(w) for w in updown.switch_paths(a, b, arities)]
+            assert fabric.port_paths(a, b) == want
+            assert det == ids(updown.switch_path(a, b, arities)) == want[0]

@@ -104,3 +104,18 @@ class TestBehaviour:
         thin = ThinTreeTopology((4, 4, 2), (1, 1))
         assert simulate(fat, flows).makespan == \
             pytest.approx(simulate(thin, flows).makespan)
+
+
+class TestBatchedWalks:
+    @pytest.mark.parametrize("down,up", [((4, 4), (2,)), ((4, 4, 2), (2, 1)),
+                                         ((3, 3, 3), (2, 3)), ((2, 2), (1,))])
+    def test_batch_matches_scalar_walks(self, down, up):
+        import numpy as np
+
+        fabric = ThinTreeFabric(down, up)
+        pairs = [(a, b) for a in range(fabric.num_ports)
+                 for b in range(fabric.num_ports) if a != b]
+        ptr, switches = fabric.port_path_batch(*np.asarray(pairs).T)
+        for i, (a, b) in enumerate(pairs):
+            assert switches[ptr[i]:ptr[i + 1]].tolist() == \
+                fabric.port_path(a, b) == fabric.port_paths(a, b)[0]

