@@ -92,12 +92,14 @@ def _add_cell(p: argparse.ArgumentParser) -> None:
                    help="tasks to place (default: one per endpoint)")
 
 
-def _add_sweep(p: argparse.ArgumentParser) -> None:
+def _add_sweep(p: argparse.ArgumentParser, *, workloads: bool = True
+               ) -> None:
     _add_common(p, endpoints=DEFAULT_ENDPOINTS)
     _add_fidelity(p)
     _add_quadratic_tasks(p)
-    p.add_argument("--workloads", nargs="*", default=None,
-                   help="subset of workloads to run")
+    if workloads:  # resilience replays its one --workload instead
+        p.add_argument("--workloads", nargs="*", default=None,
+                       help="subset of workloads to run")
     p.add_argument("--out", default=None, help="also write raw CSV here")
     _add_runner(p, metrics_help="instrument every cell and stream one "
                 "schema-versioned metrics record per cell to this JSONL "
@@ -215,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser(
         "resilience",
         help="makespan vs injected faults per topology family")
-    _add_sweep(ps)
+    _add_sweep(ps, workloads=False)
     _add_faults(ps, many_links=True)
     ps.add_argument("--workload", required=True,
                     help="workload to replay at each fault level")

@@ -242,6 +242,10 @@ class Broker:
         return batch
 
     async def _drain_loop(self) -> None:
+        """Run queued cells batch by batch until cancelled.  A failing
+        cell settles as an error document; an exception escaping a whole
+        batch fails that batch's unsettled waiters, and the loop lives
+        on."""
         loop = asyncio.get_running_loop()
         while True:
             await self._wake.wait()
@@ -250,12 +254,12 @@ class Broker:
                 batch = self._take_batch()
                 if not batch:
                     break
-                plan = SweepPlan(cells=tuple(c for _, _, c in batch),
-                                 **self.meta)
                 results: dict[str, dict] = {}
                 failures: dict[str, dict] = {}
                 self.counters["batches"] += 1
                 try:
+                    plan = SweepPlan(cells=tuple(c for _, _, c in batch),
+                                     **self.meta)
                     await loop.run_in_executor(None, functools.partial(
                         run_sweep, plan,
                         jobs=self.jobs,
@@ -265,21 +269,23 @@ class Broker:
                         metrics_append=True,
                         failures_out=failures,
                         results_out=results))
-                except ReproError as exc:
+                    self._settle(batch, results, failures)
+                except Exception as exc:
                     # a batch-level failure (not per-cell): fail every
-                    # waiter with the typed error, cache nothing
-                    fallback = {"error": type(exc).__name__,
-                                "message": str(exc)}
-                    for key, doc in failures.items():
-                        results.setdefault(key, doc)
-                    for _, digest, cell in batch:
-                        failures.setdefault(cell.key(), fallback)
-                self._settle(batch, results, failures)
+                    # unsettled waiter with the typed error, cache nothing
+                    error = {"error": type(exc).__name__,
+                             "message": str(exc)}
+                    self._settle(
+                        [entry for entry in batch
+                         if entry[1] in self._futures], {},
+                        {cell.key(): error for _, _, cell in batch})
 
     def _settle(self, batch, results: dict[str, dict],
                 failures: dict[str, dict]) -> None:
         for _, digest, cell in batch:
-            fut = self._futures.pop(digest, None)
+            # popped once settled: a store write that raises leaves the
+            # waiter to the drain loop's batch-level handler
+            fut = self._futures.get(digest)
             key = cell.key()
             doc = results.get(key)
             if doc is not None and "error" not in doc:
@@ -296,11 +302,12 @@ class Broker:
                 response = {"status": "error", "digest": digest,
                             "error": error}
                 # keep the settled error answerable for late pollers;
-                # the future is popped above, so without this a poll
+                # the future is popped below, so without this a poll
                 # arriving after settlement would read as "never seen"
                 self._errors[digest] = response
                 self._errors.move_to_end(digest)
                 while len(self._errors) > ERROR_DOCS_MAX:
                     self._errors.popitem(last=False)
+            self._futures.pop(digest, None)
             if fut is not None and not fut.done():
                 fut.set_result(response)

@@ -58,6 +58,7 @@ from multiprocessing import connection as mp_connection
 
 import numpy as np
 
+from repro import errors
 from repro.core.explorer import RunRecord
 from repro.engine import simulate
 from repro.errors import ReproError, SimulationError
@@ -471,13 +472,13 @@ def _run_serial(plan: SweepPlan, pending: list[SweepCell],
 
     for cell in pending:
         wkey = _workload_key(cell)
-        if wkey != current_workload:
-            flows, _, tasks = _prepare_workload(plan, cell, ctx.flows)
-            if log is not None:
-                log(f"workload {cell.workload.name}: {flows.num_flows} "
-                    f"flows, {tasks} tasks")
-            current_workload = wkey
         try:
+            if wkey != current_workload:
+                flows, _, tasks = _prepare_workload(plan, cell, ctx.flows)
+                if log is not None:
+                    log(f"workload {cell.workload.name}: {flows.num_flows} "
+                        f"flows, {tasks} tasks")
+                current_workload = wkey
             doc = ctx.run(cell)
         except ReproError as exc:
             if not keep_going:
@@ -613,7 +614,7 @@ def _run_parallel(plan: SweepPlan, pending: list[SweepCell],
     attempts: dict[str, int] = {}
     respawns_used = 0
     reaped: list[_WorkerState] = []
-    failure: str | None = None
+    failure: ReproError | None = None
 
     def record_failure(doc: dict) -> None:
         nonlocal failure
@@ -626,9 +627,7 @@ def _run_parallel(plan: SweepPlan, pending: list[SweepCell],
             if log is not None:
                 log(_failure_log_line(doc))
         else:
-            err = doc["error"]
-            failure = (f"sweep cell {key} failed: "
-                       f"{err['type']}: {err['message']}")
+            failure = _typed_error(key, doc["error"])
 
     def handle(state: _WorkerState, msg: tuple) -> None:
         nonlocal failure
@@ -654,7 +653,7 @@ def _run_parallel(plan: SweepPlan, pending: list[SweepCell],
             state.group = None
             state.current = None
         elif kind == "fatal":
-            failure = f"sweep worker failed:\n{msg[1]}"
+            failure = SimulationError(f"sweep worker failed:\n{msg[1]}")
         else:  # "exit"
             state.finished = True
 
@@ -727,9 +726,10 @@ def _run_parallel(plan: SweepPlan, pending: list[SweepCell],
                 respawns_used += 1
                 spawn()
             if not workers and outstanding and failure is None:
-                failure = (f"all sweep workers died and the respawn budget "
-                           f"({MAX_RESPAWNS}) is exhausted; "
-                           f"{len(outstanding)} cells unfinished")
+                failure = SimulationError(
+                    f"all sweep workers died and the respawn budget "
+                    f"({MAX_RESPAWNS}) is exhausted; "
+                    f"{len(outstanding)} cells unfinished")
 
     def kill_timed_out_workers() -> None:
         if cell_timeout is None:
@@ -775,5 +775,19 @@ def _run_parallel(plan: SweepPlan, pending: list[SweepCell],
                 state.proc.join()
             state.conn.close()
     if failure is not None:
-        raise SimulationError(failure)
+        raise failure
     return records
+
+
+def _typed_error(key: str, error: dict) -> ReproError:
+    """The error a worker reported for cell ``key``, as the same
+    :mod:`repro.errors` class, so a bad input fails the same way serially
+    and in parallel.  Classes with their own constructor, and failures
+    that are no exception class (a timeout, a crashed worker), come back
+    as :class:`SimulationError`."""
+    name, message = error["type"], error["message"]
+    cls = getattr(errors, name, None)
+    if (isinstance(cls, type) and issubclass(cls, ReproError)
+            and cls.__init__ is Exception.__init__):
+        return cls(message)
+    return SimulationError(f"sweep cell {key} failed: {name}: {message}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.flows import FlowBuilder, FlowSet
+from repro.errors import WorkloadError
 from repro.units import KiB
 from repro.workloads.base import HEAVY, LIGHT, Workload
 
@@ -35,7 +36,7 @@ class Reduce(Workload):
                  message_size: float = DEFAULT_MESSAGE, seed: int = 0) -> None:
         super().__init__(num_tasks, seed=seed)
         if not 0 <= root < num_tasks:
-            raise ValueError(f"root {root} out of range")
+            raise WorkloadError(f"root {root} out of range")
         self.root = root
         self.message_size = message_size
 

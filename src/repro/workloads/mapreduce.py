@@ -15,6 +15,7 @@ every shuffle fragment is ``partition / tasks``.
 from __future__ import annotations
 
 from repro.engine.flows import FlowBuilder, FlowSet
+from repro.errors import WorkloadError
 from repro.units import KiB
 from repro.workloads.base import LIGHT, Workload
 
@@ -33,7 +34,7 @@ class MapReduce(Workload):
                  seed: int = 0) -> None:
         super().__init__(num_tasks, seed=seed)
         if not 0 <= root < num_tasks:
-            raise ValueError(f"root {root} out of range")
+            raise WorkloadError(f"root {root} out of range")
         self.root = root
         self.partition_size = partition_size
 

@@ -13,6 +13,7 @@ count is chosen independently of the system size.
 from __future__ import annotations
 
 from repro.engine.flows import FlowBuilder, FlowSet
+from repro.errors import WorkloadError
 from repro.units import KiB
 from repro.workloads.base import HEAVY, Workload
 
@@ -33,7 +34,7 @@ class NBodies(Workload):
         self.message_size = message_size
         self.hops = num_tasks // 2 if hops is None else hops
         if not 1 <= self.hops < num_tasks:
-            raise ValueError(
+            raise WorkloadError(
                 f"chain length {self.hops} invalid for {num_tasks} tasks")
 
     def build(self) -> FlowSet:

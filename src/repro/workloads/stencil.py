@@ -18,6 +18,7 @@ All three arrange tasks in a virtual 3D grid (paper Section 4.1):
 from __future__ import annotations
 
 from repro.engine.flows import FlowBuilder, FlowSet
+from repro.errors import WorkloadError
 from repro.routing import dor
 from repro.units import KiB
 from repro.workloads.base import HEAVY, LIGHT, GridWorkload
@@ -38,7 +39,7 @@ class Sweep3D(GridWorkload):
                  sweeps: int = 1, seed: int = 0) -> None:
         super().__init__(num_tasks, seed=seed)
         if sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
+            raise WorkloadError("sweeps must be >= 1")
         self.message_size = message_size
         self.sweeps = sweeps
 
@@ -78,7 +79,7 @@ class Flood(GridWorkload):
                  wavefronts: int = 4, seed: int = 0) -> None:
         super().__init__(num_tasks, seed=seed)
         if wavefronts < 1:
-            raise ValueError("wavefronts must be >= 1")
+            raise WorkloadError("wavefronts must be >= 1")
         self.message_size = message_size
         self.wavefronts = wavefronts
         self.source = self.task(tuple(k // 2 for k in self.grid_dims))
@@ -139,7 +140,7 @@ class NearNeighbors(GridWorkload):
                  seed: int = 0) -> None:
         super().__init__(num_tasks, dims=dims, seed=seed)
         if rounds < 1:
-            raise ValueError("rounds must be >= 1")
+            raise WorkloadError("rounds must be >= 1")
         # climate domains are wider than tall: widest dimension first, so
         # the slow stencil direction strides far through the rank order
         self.grid_dims = tuple(sorted(self.grid_dims, reverse=True))

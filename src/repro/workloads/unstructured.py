@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.flows import FlowBuilder, FlowSet
+from repro.errors import WorkloadError
 from repro.units import KiB, MiB
 from repro.workloads.base import (HEAVY, LIGHT, Workload, random_destinations,
                                   random_matching)
@@ -41,7 +42,7 @@ class UnstructuredApp(Workload):
                  message_size: float = DEFAULT_MESSAGE, seed: int = 0) -> None:
         super().__init__(num_tasks, seed=seed)
         if messages_per_task < 1:
-            raise ValueError("messages_per_task must be >= 1")
+            raise WorkloadError("messages_per_task must be >= 1")
         self.messages_per_task = messages_per_task
         self.message_size = message_size
 
@@ -79,7 +80,7 @@ class UnstructuredMgnt(Workload):
                  seed: int = 0) -> None:
         super().__init__(num_tasks, seed=seed)
         if messages_per_task < 1:
-            raise ValueError("messages_per_task must be >= 1")
+            raise WorkloadError("messages_per_task must be >= 1")
         self.messages_per_task = messages_per_task
 
     def sample_sizes(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -117,9 +118,9 @@ class UnstructuredHR(Workload):
                  seed: int = 0) -> None:
         super().__init__(num_tasks, seed=seed)
         if not 0 < hot_fraction <= 1:
-            raise ValueError("hot_fraction must be in (0, 1]")
+            raise WorkloadError("hot_fraction must be in (0, 1]")
         if not 0 <= hot_probability <= 1:
-            raise ValueError("hot_probability must be in [0, 1]")
+            raise WorkloadError("hot_probability must be in [0, 1]")
         self.messages_per_task = messages_per_task
         self.message_size = message_size
         self.hot_fraction = hot_fraction
@@ -159,9 +160,9 @@ class Bisection(Workload):
                  seed: int = 0) -> None:
         super().__init__(num_tasks, seed=seed)
         if num_tasks % 2:
-            raise ValueError("bisection needs an even number of tasks")
+            raise WorkloadError("bisection needs an even number of tasks")
         if rounds < 1:
-            raise ValueError("rounds must be >= 1")
+            raise WorkloadError("rounds must be >= 1")
         self.rounds = rounds
         self.message_size = message_size
 

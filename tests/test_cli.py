@@ -229,10 +229,26 @@ class TestInputValidation:
         (["run", "--topology", "torus", "--t", "2", "--workload", "reduce",
           "--endpoints", "64"], "--t"),
         (["table2", "--endpoints", "7"], "GHC fabric"),
+        # a workload parameter check used to end in a ValueError traceback
+        (["run", "--topology", "fattree", "--workload", "bisection",
+          "--endpoints", "64", "--tasks", "3"], "even number of tasks"),
+        # a worker's WorkloadError used to come back as a SimulationError
+        # (exit 1) in parallel, but exit 2 serially
+        (["fig4", "--endpoints", "64", "--workloads", "nbodies",
+          "--quadratic-tasks", "1", "--quiet", "--jobs", "1"],
+         "2 tasks, got 1"),
+        (["fig4", "--endpoints", "64", "--workloads", "nbodies",
+          "--quadratic-tasks", "1", "--quiet", "--jobs", "2"],
+         "2 tasks, got 1"),
+        # resilience replays --workload only; --workloads was ignored
+        (["resilience", "--endpoints", "64", "--workload", "reduce",
+          "--workloads", "nbodies"], "unrecognized arguments: --workloads"),
     ], ids=["run-tasks-negative", "run-tasks-zero", "run-nbodies-one-task",
             "fig4-quadratic-tasks", "optimize-quadratic-tasks",
             "table1-max-pairs-negative", "table1-max-pairs-zero",
-            "table1-seed-negative", "run-t-on-torus", "table2-tiny"])
+            "table1-seed-negative", "run-t-on-torus", "table2-tiny",
+            "run-bisection-odd-tasks", "fig4-nbodies-one-task-serial",
+            "fig4-nbodies-one-task-parallel", "resilience-workloads-flag"])
     def test_bad_input_is_one_line_not_a_traceback(self, capsys, argv,
                                                    named):
         err = self._error(capsys, argv)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine import simulate
+from repro.errors import WorkloadError
 from repro.engine.flows import FlowBuilder
 from repro.topology import TorusTopology
 from repro.units import DEFAULT_LINK_CAPACITY as CAP
@@ -70,7 +71,7 @@ class TestReduce:
                               b.build())
 
     def test_root_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             Reduce(16, root=16)
 
     def test_consumption_port_serialisation(self):

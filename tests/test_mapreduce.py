@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import simulate
+from repro.errors import WorkloadError
 from repro.topology import TorusTopology
 from repro.units import DEFAULT_LINK_CAPACITY as CAP
 from repro.workloads import MapReduce
@@ -38,7 +39,7 @@ class TestStructure:
         assert (shuffle == 1.0).all()
 
     def test_root_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             MapReduce(8, root=9)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine import simulate
+from repro.errors import WorkloadError
 from repro.topology import TorusTopology
 from repro.units import DEFAULT_LINK_CAPACITY as CAP
 from repro.workloads import NBodies
@@ -37,9 +38,9 @@ class TestStructure:
         assert fs.dependency_depth() == 2
 
     def test_invalid_hops(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             NBodies(8, hops=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             NBodies(8, hops=8)
 
 

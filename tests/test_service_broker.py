@@ -202,6 +202,78 @@ class TestErrors:
         assert counters["simulated"] == 0
         assert stored == 0  # failures may be transient; never cached
 
+    @staticmethod
+    def _bad_then_good(tmp_path, bad_cell, **broker_kwargs):
+        """Settle ``bad_cell`` and then a valid cell, each within 60 s:
+        a failing cell must never stop the drain loop."""
+        async def main():
+            broker = Broker(ResultStore(tmp_path), endpoints=ENDPOINTS,
+                            **broker_kwargs)
+            await broker.start()
+            try:
+                bad = await asyncio.wait_for(
+                    broker.result(broker.submit("a", bad_cell)), 60)
+                good = await asyncio.wait_for(
+                    broker.result(broker.submit("a", make_cell())), 60)
+            finally:
+                await broker.close()
+            return broker.counters, bad, good
+
+        return run(main())
+
+    def test_bad_workload_params_settle_and_the_loop_lives(self, tmp_path):
+        # bisection pairs tasks up, so 3 tasks is a bad cell; it used to
+        # raise a bare ValueError that killed the drain task, leaving
+        # every later cell pending forever
+        counters, bad, good = self._bad_then_good(
+            tmp_path, make_cell("bisection", 3, "torus"))
+        assert bad["status"] == "error"
+        assert bad["error"]["error"]["type"] == "WorkloadError"
+        assert "even number of tasks" in bad["error"]["error"]["message"]
+        assert good["status"] == "done"
+        assert counters["errors"] == 1 and counters["simulated"] == 1
+
+    def test_batch_crash_fails_only_its_waiters(self, tmp_path,
+                                                monkeypatch):
+        import repro.service.broker as broker_mod
+
+        real = broker_mod.run_sweep
+        calls = []
+
+        def crash_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("injected batch crash")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(broker_mod, "run_sweep", crash_once)
+        counters, bad, good = self._bad_then_good(
+            tmp_path, make_cell(tasks=8))
+        assert bad["status"] == "error"
+        assert bad["error"] == {"error": "RuntimeError",
+                                "message": "injected batch crash"}
+        assert good["status"] == "done"
+        assert len(calls) == 2
+
+    def test_store_write_crash_settles_the_waiter(self, tmp_path,
+                                                  monkeypatch):
+        real = ResultStore.put
+        calls = []
+
+        def fail_once(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise OSError("injected disk failure")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "put", fail_once)
+        counters, bad, good = self._bad_then_good(
+            tmp_path, make_cell(tasks=8))
+        assert bad["status"] == "error"
+        assert bad["error"] == {"error": "OSError",
+                                "message": "injected disk failure"}
+        assert good["status"] == "done"
+
     def test_unknown_digest_raises(self, tmp_path):
         async def main():
             broker = Broker(ResultStore(tmp_path), endpoints=ENDPOINTS)

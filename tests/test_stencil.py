@@ -55,7 +55,7 @@ class TestSweep3D:
         assert two.dependency_depth() > one.dependency_depth()
 
     def test_invalid_sweeps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             Sweep3D(27, sweeps=0)
 
 
@@ -144,7 +144,7 @@ class TestNearNeighbors:
         assert max(hops) > 1
 
     def test_invalid_rounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             NearNeighbors(64, rounds=0)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import WorkloadError
 from repro.units import KiB, MiB
 from repro.workloads import (Bisection, UnstructuredApp, UnstructuredHR,
                              UnstructuredMgnt)
@@ -33,7 +34,7 @@ class TestUnstructuredApp:
         assert (a.dst != c.dst).any()
 
     def test_invalid_messages(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             UnstructuredApp(16, messages_per_task=0)
 
 
@@ -80,9 +81,9 @@ class TestUnstructuredHR:
         assert (fs.src != fs.dst).all()
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             UnstructuredHR(16, hot_fraction=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             UnstructuredHR(16, hot_probability=1.5)
 
     def test_uniform_limit(self):
@@ -115,11 +116,11 @@ class TestBisection:
         assert fs.dependency_depth() == 3
 
     def test_odd_task_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             Bisection(15)
 
     def test_rounds_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             Bisection(16, rounds=0)
 
 
@@ -132,6 +133,5 @@ class TestRandomMatching:
             assert (partner != np.arange(32)).all()
 
     def test_odd_rejected(self):
-        from repro.errors import WorkloadError
         with pytest.raises(WorkloadError):
             random_matching(np.random.default_rng(0), 7)
