@@ -100,6 +100,14 @@ class Broker:
         if self._drain_task is None:
             self._drain_task = asyncio.create_task(self._drain_loop())
 
+    @property
+    def drain_loop(self) -> str:
+        """``"running"`` while the drain task lives, ``"stopped"``
+        before :meth:`start` and once the task has ended."""
+        task = self._drain_task
+        return "running" if task is not None and not task.done() \
+            else "stopped"
+
     async def close(self) -> None:
         if self._drain_task is not None:
             self._drain_task.cancel()

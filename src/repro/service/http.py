@@ -11,7 +11,8 @@ third-party dependencies) exposing the broker as four JSON endpoints:
   ``202`` while the digest is queued or simulating, ``404`` for a
   digest this service has never seen.
 * ``GET /v1/stats`` — broker counters, queue state, store statistics.
-* ``GET /v1/healthz`` — liveness probe.
+* ``GET /v1/healthz`` — liveness probe: ``ok`` is false once the
+  broker's drain loop has ended.
 
 Error mapping is typed end to end:
 :class:`~repro.errors.ProtocolError` → 400 (the body names the bad
@@ -151,7 +152,8 @@ class ServiceServer:
             if method != "GET":
                 return 405, {"error": "ProtocolError",
                              "message": "healthz is GET-only"}
-            return 200, {"ok": True}
+            state = self.broker.drain_loop
+            return 200, {"ok": state == "running", "drain_loop": state}
         if target == "/v1/stats":
             if method != "GET":
                 return 405, {"error": "ProtocolError",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import queue
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.service import Broker, ResultStore, ServiceClient, ServiceServer
@@ -36,6 +37,7 @@ class ServerThread:
         self._ready: queue.Queue = queue.Queue()
         self._stop: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
+        self.broker: Broker | None = None
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self):
@@ -43,6 +45,7 @@ class ServerThread:
             self._loop = asyncio.get_running_loop()
             self._stop = asyncio.Event()
             broker = Broker(ResultStore(self.store_dir), **self.broker_kw)
+            self.broker = broker
             server = ServiceServer(broker)
             host, port = await server.start()
             self._ready.put((host, port))
@@ -169,3 +172,21 @@ class TestHttpSurface:
             assert status == 404
             status, doc = client._request("POST", "/v1/stats")
             assert status == 405
+
+
+class TestHealthz:
+    def test_reports_the_drain_loop_and_flips_when_it_ends(self, tmp_path):
+        server = ServerThread(tmp_path / "store")
+        with server as client:
+            status, doc = client._request("GET", "/v1/healthz")
+            assert (status, doc) == (200, {"ok": True,
+                                           "drain_loop": "running"})
+            task = server.broker._drain_task
+            server._loop.call_soon_threadsafe(task.cancel)
+            deadline = time.monotonic() + 10
+            while client.healthy() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            status, doc = client._request("GET", "/v1/healthz")
+            assert (status, doc) == (200, {"ok": False,
+                                           "drain_loop": "stopped"})
+            assert not client.healthy()
