@@ -11,6 +11,7 @@ from repro.engine.active import ActiveSet
 from repro.engine.flows import FlowBuilder, FlowSet
 from repro.engine.maxmin import bottleneck_lower_bound
 from repro.engine.results import LinkLoadReport, SimulationResult
+from repro.engine.routes import RouteCache
 from repro.engine.simulator import simulate
 from repro.engine.static import analyze
 from repro.engine.trace import per_task_stats, timeline_rows, to_csv
@@ -20,6 +21,7 @@ __all__ = [
     "FlowBuilder",
     "FlowSet",
     "LinkLoadReport",
+    "RouteCache",
     "SimulationResult",
     "analyze",
     "bottleneck_lower_bound",

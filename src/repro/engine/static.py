@@ -17,46 +17,37 @@ import numpy as np
 
 from repro.engine.flows import FlowSet
 from repro.engine.results import LinkLoadReport
-from repro.engine.simulator import _check_placement, cached_routes
+from repro.engine.routes import RouteCache, ViewRoutes, flow_pairs
+from repro.engine.simulator import _check_placement
 from repro.topology.base import Topology
 
 
 def analyze(topology: Topology, flows: FlowSet, *,
             placement: np.ndarray | None = None,
-            route_cache: dict[tuple[int, int], np.ndarray] | None = None
+            route_cache: RouteCache | dict | None = None
             ) -> LinkLoadReport:
     """Route all flows and report per-link loads and the bottleneck bound.
 
-    ``route_cache`` is the same ``(src endpoint, dst endpoint) -> link-id
-    array`` dict :func:`repro.engine.simulate` takes, so one cache per
-    topology serves both modes (the search rank-0 proxies and the sweep
-    runner share theirs this way).  Repeated ``(src, dst)`` pairs are
-    deduplicated before routing: each distinct pair is routed exactly
-    once with its sizes pre-summed, through the simulator's batched
-    :func:`~repro.engine.simulator.cached_routes`.
+    ``route_cache`` is the same store (or plain dict)
+    :func:`repro.engine.simulate` takes, so one store per topology serves
+    both modes (the search rank-0 proxies and the sweep runner share
+    theirs this way).  Repeated ``(src, dst)`` pairs are deduplicated
+    before routing: each distinct pair is routed exactly once with its
+    sizes pre-summed, and the loads are one scatter of the pairs' routes
+    in pair-key order.
     """
     placement = _check_placement(topology, flows, placement)
     capacities = topology.links.capacities
-    loads = np.zeros(capacities.shape[0], dtype=np.float64)
-    if route_cache is None:
-        route_cache = {}
-
-    src_ep = placement[flows.src]
-    dst_ep = placement[flows.dst]
-    network = src_ep != dst_ep  # zero-hop: co-located tasks load no link
-    if network.any():
-        # dedupe (src, dst) pairs and accumulate their total bytes first
-        pair_key = (src_ep[network].astype(np.int64)
-                    * np.int64(topology.num_endpoints)
-                    + dst_ep[network])
-        unique_keys, inverse = np.unique(pair_key, return_inverse=True)
-        totals = np.bincount(inverse, weights=flows.size[network],
-                             minlength=unique_keys.shape[0])
-        routes = cached_routes(topology,
-                               *np.divmod(unique_keys, topology.num_endpoints),
-                               route_cache)
-        for route, total in zip(routes, totals.tolist()):
-            loads[route] += total
+    pairs, pair_of_flow = flow_pairs(placement[flows.src],
+                                     placement[flows.dst],
+                                     topology.num_endpoints)
+    network = pair_of_flow >= 0  # zero-hop: co-located tasks load no link
+    totals = np.bincount(pair_of_flow[network], weights=flows.size[network],
+                         minlength=pairs.shape[0])
+    view = ViewRoutes(RouteCache.of(route_cache), topology, pairs)
+    lens, links = view.gather(view.rows(np.arange(pairs.shape[0])))
+    loads = np.bincount(links, weights=np.repeat(totals, lens),
+                        minlength=capacities.shape[0])
 
     bottleneck = float(np.max(loads / capacities)) if loads.size else 0.0
     return LinkLoadReport(

@@ -31,8 +31,6 @@ import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.config import (DEFAULT_QUADRATIC_TASKS, TopologySpec,
                                baseline_specs)
 from repro.core.explorer import PLACEMENT_POLICY, workload_spec_for
@@ -196,6 +194,7 @@ class LadderEvaluator:
         if label in self._static_cache:
             self.static_cache_hits += 1
             return self._static_cache[label]
+        from repro.engine import RouteCache
         from repro.engine.static import analyze, load_imbalance
         from repro.topology.analysis import path_length_stats
 
@@ -208,9 +207,9 @@ class LadderEvaluator:
                                   seed=self.ladder.seed)
         bottleneck: dict[str, float] = {}
         imbalance: dict[str, float] = {}
-        # one route cache per topology, shared by every workload's static
-        # pass (same dict format simulate() takes)
-        route_cache: dict[tuple[int, int], np.ndarray] = {}
+        # one route store per topology, shared by every workload's static
+        # pass
+        route_cache = RouteCache()
         for wname, (flows, placement) in self._workload_inputs().items():
             report = analyze(topo, flows, placement=placement,
                              route_cache=route_cache)

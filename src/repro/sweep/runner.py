@@ -9,7 +9,7 @@ Parallel decomposition
 Topology construction and route computation dominate a sweep's warm-up
 cost, so cells are grouped *by topology* and whole groups are placed on a
 shared task queue (largest first).  Workers pull one group at a time,
-build its topology once and keep one route cache per ``(topology, fault
+build its topology once and keep one route store per ``(topology, fault
 set)``, shared by every workload replayed on that machine — the same
 warm-start the serial explorer gets from its in-process caches.  Both
 paths keep these caches in one :class:`_SweepContext`.
@@ -56,11 +56,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 
-import numpy as np
-
 from repro import errors
 from repro.core.explorer import RunRecord
-from repro.engine import simulate
+from repro.engine import RouteCache, simulate
 from repro.errors import ReproError, SimulationError
 from repro.mapping import placement as placement_mod
 from repro.sweep.plan import SweepCell, SweepPlan
@@ -298,8 +296,9 @@ class _SweepContext:
 
     Prepared workloads (flows and placement), built topologies, their
     fault-wrapped :class:`~repro.topology.degraded.DegradedTopology`
-    views, and one plain route dict per :meth:`SweepCell.cache_key` —
-    a ``(topology, fault set)`` — shared by every workload run on it.
+    views, and one :class:`~repro.engine.RouteCache` per
+    :meth:`SweepCell.cache_key` — a ``(topology, fault set)`` — shared by
+    every workload run on it.
 
     ``topology_provider`` replaces the context's own topology builds (the
     explorer passes its caching builder).  With ``keep_topologies`` every
@@ -322,7 +321,7 @@ class _SweepContext:
         self._log = log
         self._topologies: dict[str, Topology] = {}
         self._degraded: dict[str, Topology] = {}
-        self._routes: dict[str, dict] = {}
+        self._routes: dict[str, RouteCache] = {}
 
     def _base(self, cell: SweepCell) -> Topology:
         if self._provider is not None:
@@ -353,13 +352,14 @@ class _SweepContext:
                                           seed=cell.fail_seed))
             topo = self._degraded[key]
         return _run_cell(self.plan, cell, topo, self.flows,
-                         self._routes.setdefault(cell.cache_key(), {}),
+                         self._routes.setdefault(cell.cache_key(),
+                                                 RouteCache()),
                          collect_metrics=self._collect)
 
 
 def _run_cell(plan: SweepPlan, cell: SweepCell, topology: Topology,
               flows_cache: _FlowsCache,
-              route_cache: dict[tuple[int, int], np.ndarray],
+              route_cache: RouteCache,
               collect_metrics: bool = False) -> dict:
     """Simulate one cell and return its storable record.
 

@@ -136,13 +136,13 @@ def compare(topologies: dict[str, Topology], flows, *,
     for the loads, then applies the model.  Returns reports keyed like the
     input dict.
     """
-    from repro.engine import analyze, simulate
+    from repro.engine import RouteCache, analyze, simulate
 
     out: dict[str, EnergyReport] = {}
     for label, topo in topologies.items():
         # the dynamic run and the static pass route the same pairs on the
-        # same machine; one shared cache routes each pair once
-        route_cache: dict = {}
+        # same machine; one shared store routes each pair once
+        route_cache = RouteCache()
         sim = simulate(topo, flows, fidelity=fidelity,
                        route_cache=route_cache)
         loads = analyze(topo, flows, route_cache=route_cache)

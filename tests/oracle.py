@@ -10,9 +10,10 @@ compare them against:
   an ``ActiveSet``'s pool);
 * :func:`simulate_rebuild`, a per-flow completion walk that rebuilds the
   active list and the route CSR at every allocation and hands them to
-  :func:`allocate`.  It shares only the route closures, the placement
-  check and the loop constants with the engine under test.  Fault
-  timelines are out of its scope.
+  :func:`allocate`.  It routes on its own (:func:`oracle_route_fn`,
+  through ``Topology.route`` and ``Topology.route_candidates``) and
+  shares only the placement check and the loop constants with the engine
+  under test.  Fault timelines are out of its scope.
 
 :func:`assert_results_identical` is the comparison every equivalence
 suite uses.
@@ -30,9 +31,9 @@ from repro.engine.flows import FlowSet
 from repro.engine.maxmin import _COUNT_TOL, _SAT_TOL, _slices_concat
 from repro.engine.results import SimulationResult
 from repro.engine.simulator import (_FIDELITIES, _TIE_EPS, CHURN_FRACTION,
-                                    _check_placement, _make_route_fn)
+                                    _check_placement)
 from repro.errors import SimulationError
-from repro.routing.policy import validate_policy
+from repro.routing.policy import adaptive_index, ecmp_index, validate_policy
 from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -212,6 +213,35 @@ def assert_results_identical(a: SimulationResult, b: SimulationResult,
         f"{ctx} transient counters {a.transient} != {b.transient}"
 
 
+def oracle_route_fn(topology: Topology, src_ep: np.ndarray,
+                    dst_ep: np.ndarray, memo: dict, routing: str,
+                    occupancy=None):
+    """``route_of(fid)``: each flow's route under ``routing``, from
+    ``Topology.route`` (deterministic) or ``Topology.route_candidates``
+    (the multi-path policies), one pair at a time.
+
+    Routes are memoised in ``memo`` under ``("oracle", ...)`` keys, which
+    no engine path reads or writes, so a dict shared with the engine
+    under test never hands the oracle a route the engine produced.
+    """
+    def route_of(fid: int) -> np.ndarray:
+        s, d = int(src_ep[fid]), int(dst_ep[fid])
+        if s == d:
+            return np.empty(0, dtype=np.int64)
+        key = ("oracle", routing == "deterministic", s, d)
+        cands = memo.get(key)
+        if cands is None:
+            cands = memo[key] = [np.asarray(r, dtype=np.int64) for r in (
+                [topology.route(s, d)] if routing == "deterministic"
+                else topology.route_candidates(s, d))]
+        if routing == "ecmp":
+            return cands[ecmp_index(fid, s, d, len(cands))]
+        if routing == "adaptive" and len(cands) > 1:
+            return cands[adaptive_index(cands, occupancy())]
+        return cands[0]
+    return route_of
+
+
 def simulate_rebuild(topology: Topology, flows: FlowSet, *,
                      placement: np.ndarray | None = None,
                      fidelity: str = "exact",
@@ -272,9 +302,9 @@ def _simulate_rebuild(topology: Topology, flows: FlowSet,
     # persistent ActiveSet to maintain one)
     occ = np.zeros(capacities.shape[0], dtype=np.int64) \
         if routing == "adaptive" else None
-    route_of, _ = _make_route_fn(
-        topology, src_ep, dst_ep, route_cache, collector, routing,
-        (lambda: occ) if occ is not None else None)
+    route_of = oracle_route_fn(topology, src_ep, dst_ep, route_cache,
+                               routing, (lambda: occ) if occ is not None
+                               else None)
 
     completed_count = 0
 

@@ -95,22 +95,34 @@ class TestMembership:
         active = ActiveSet(np.ones(4))
         active.add(1, np.array([0], dtype=np.int64), rate=2.0)
         before = active._slot_arr.copy()
-        routes = [np.array([f % 4], dtype=np.int64) for f in fids]
+        lens = np.ones(len(fids), dtype=np.int64)
+        entries = np.asarray(fids, dtype=np.int64) % 4
         with pytest.raises(SimulationError, match="repeats an active flow"):
-            active.add_many(np.asarray(fids), routes)
+            active.add_many(np.asarray(fids), lens, entries)
         assert active._slot_arr.tolist() == before.tolist()
         assert active.size == 1 and active.flow_ids.tolist() == [1]
         # the rejected ids are still free to join
-        active.add_many(np.array([3, 5]), routes[:1] * 2)
+        active.add_many(np.array([3, 5]), lens[:2], entries[:1].repeat(2))
         assert sorted(active.flow_ids.tolist()) == [1, 3, 5]
 
     def test_batch_empty_route_rejected(self):
         active = ActiveSet(np.ones(2))
         with pytest.raises(SimulationError, match="flow 8 has an empty"):
-            active.add_many(np.array([7, 8]),
-                            [np.array([0], dtype=np.int64),
-                             np.empty(0, dtype=np.int64)])
+            active.add_many(np.array([7, 8]), np.array([1, 0]),
+                            np.array([0], dtype=np.int64))
         assert active.size == 0
+
+    @pytest.mark.parametrize("lens,entries", [([2, 1], [0, 1]),
+                                              ([1], [0, 1]),
+                                              ([1, 1, 1], [0, 1, 0])])
+    def test_batch_csr_shape_checked(self, lens, entries):
+        """Lengths that do not match the flows or the link ids raise
+        and admit nothing."""
+        active = ActiveSet(np.ones(2))
+        with pytest.raises(SimulationError, match="one route length"):
+            active.add_many(np.array([7, 8]), np.asarray(lens),
+                            np.asarray(entries, dtype=np.int64))
+        assert active.size == 0 and (active._slot_arr < 0).all()
 
     def test_nonpositive_weight_rejected(self):
         active = ActiveSet(np.ones(2), weighted=True)
@@ -460,7 +472,8 @@ class TestWindowedFillProperty:
             if not pending:
                 return
             fids = np.asarray([op[1] for op in pending], dtype=np.int64)
-            active.add_many(fids, [op[2] for op in pending],
+            active.add_many(fids, np.asarray([len(op[2]) for op in pending]),
+                            np.concatenate([op[2] for op in pending]),
                             weights=np.asarray([op[3] for op in pending])
                             if weighted else None)
             pending.clear()
