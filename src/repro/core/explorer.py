@@ -10,6 +10,9 @@ them to each machine).
 
 from __future__ import annotations
 
+import csv
+import io
+import re
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -24,6 +27,14 @@ from repro.topology.base import Topology
 #: Workloads whose flow counts grow quadratically with the task count; they
 #: run with a capped task set (see DESIGN.md substitutions).
 QUADRATIC_WORKLOADS = ("mapreduce", "nbodies")
+
+#: Columns of :meth:`ResultTable.to_csv`, in order.
+CSV_COLUMNS = ("workload", "topology", "family", "t", "u", "makespan_s",
+               "num_flows", "events", "reallocations", "wall_s", "faults",
+               "routing")
+
+#: A fault fingerprint as :meth:`ResultTable.to_csv` writes it.
+_FAULTS = re.compile(r"(?P<cables>\d+)c\+(?P<uplinks>\d+)u@s(?P<seed>-?\d+)")
 
 #: Placement policy for capped workloads.  The ring workload runs under a
 #: fragmented (random) allocation — INRFlow models allocation policies, and
@@ -110,21 +121,73 @@ class ResultTable:
                 for r in self.records if r.workload == workload}
 
     def to_csv(self) -> str:
-        lines = ["workload,topology,family,t,u,makespan_s,num_flows,"
-                 "events,reallocations,wall_s,faults,routing"]
+        """The records as CSV text, one row each under :data:`CSV_COLUMNS`.
+
+        Written through :mod:`csv`, so a label holding commas (every
+        hybrid's, e.g. ``nestghc(2,8)``) is quoted.
+        """
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         for r in self.records:
             if r.faults:
                 faults = (f"{r.faults['cables']}c+{r.faults['uplinks']}u"
                           f"@s{r.faults['seed']}")
             else:
                 faults = ""
-            lines.append(
-                f"{r.workload},{r.topology},{r.family},"
-                f"{'' if r.t is None else r.t},{'' if r.u is None else r.u},"
-                f"{r.makespan!r},{r.num_flows},{r.events},"
-                f"{r.reallocations},{r.wall_seconds:.3f},{faults},"
-                f"{r.routing}")
-        return "\n".join(lines) + "\n"
+            writer.writerow((
+                r.workload, r.topology, r.family,
+                "" if r.t is None else r.t, "" if r.u is None else r.u,
+                repr(r.makespan), r.num_flows, r.events, r.reallocations,
+                f"{r.wall_seconds:.3f}", faults, r.routing))
+        return out.getvalue()
+
+    @classmethod
+    def from_csv(cls, text: str, endpoints: int,
+                 fidelity: str = "approx") -> "ResultTable":
+        """The table :meth:`to_csv` wrote, read back.
+
+        Also reads two older layouts: rows whose hybrid labels were
+        written unquoted (a label's commas split it over several
+        fields, rejoined here), and the 10-column header without
+        ``faults`` and ``routing`` (healthy, deterministic cells).
+        Timelines and recovery counters are not in the CSV and read back
+        as ``None``; wall seconds keep their three decimals.
+        """
+        rows = csv.reader(io.StringIO(text))
+        header = next(rows, None)
+        if header is None or tuple(header) not in (CSV_COLUMNS,
+                                                   CSV_COLUMNS[:10]):
+            raise ConfigError(f"not a result-table CSV header: {header}")
+        table = cls(endpoints=endpoints, fidelity=fidelity)
+        for line, row in enumerate(rows, start=2):
+            extra = len(row) - len(header)
+            if extra < 0:
+                raise ConfigError(f"CSV line {line} has {len(row)} fields, "
+                                  f"expected {len(header)}")
+            # an unquoted label spans 1 + extra fields
+            row = [row[0], ",".join(row[1:2 + extra]), *row[2 + extra:]]
+            cell = dict(zip(header, row))
+            faults = None
+            if cell.get("faults"):
+                match = _FAULTS.fullmatch(cell["faults"])
+                if match is None:
+                    raise ConfigError(f"CSV line {line}: bad faults field "
+                                      f"{cell['faults']!r}")
+                faults = {key: int(value)
+                          for key, value in match.groupdict().items()}
+            table.add(RunRecord(
+                workload=cell["workload"], topology=cell["topology"],
+                family=cell["family"],
+                t=int(cell["t"]) if cell["t"] else None,
+                u=int(cell["u"]) if cell["u"] else None,
+                makespan=float(cell["makespan_s"]),
+                num_flows=int(cell["num_flows"]),
+                events=int(cell["events"]),
+                reallocations=int(cell["reallocations"]),
+                wall_seconds=float(cell["wall_s"]), faults=faults,
+                routing=cell.get("routing") or "deterministic"))
+        return table
 
 
 class DesignSpaceExplorer:

@@ -260,6 +260,7 @@ def fill(capacities: np.ndarray, sat_floor: np.ndarray,
     live = act
     win = act
     dead = 0  # live entries whose key is already +inf
+    scratch = None  # per-slot positions, for deduplicating unweighted freezes
     it = nsat = rounds = 0
     window = _WINDOW
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -348,9 +349,11 @@ def fill(capacities: np.ndarray, sat_floor: np.ndarray,
             levels[sat_links] = level
             level_links_out[nsat:nsat + sat_links.shape[0]] = sat_links
             nsat += sat_links.shape[0]
-            # freeze every unfrozen flow crossing a saturated link, in
-            # ascending flow id (the reference's order; only weighted
-            # count drops depend on it)
+            # freeze every unfrozen flow crossing a saturated link: in
+            # ascending flow id for weighted sets (the reference's order,
+            # on which their count drops depend); unweighted ones apply
+            # one rate, exact unit count drops and one deferred charge,
+            # which no order changes
             if sat_links.shape[0] == 1:
                 # one link lists a flow at most once (routes are simple
                 # paths): only its tombstones go
@@ -360,13 +363,26 @@ def fill(capacities: np.ndarray, sat_floor: np.ndarray,
                 cand = cand[cand >= 0]
                 if weighted:
                     cand = np.sort(cand)
-            else:
+                cslots = slot_arr[cand]
+            elif weighted:
                 cand = np.unique(csr_flows[_slices_concat(
                     csr_start[sat_links],
                     csr_start[sat_links] + csr_len[sat_links])])
                 if cand.shape[0] and cand[0] < 0:
                     cand = cand[1:]
-            cslots = slot_arr[cand]
+                cslots = slot_arr[cand]
+            else:
+                # a flow on several saturated links: keep the one entry
+                # whose position its slot reads back
+                cand = csr_flows[_slices_concat(
+                    csr_start[sat_links],
+                    csr_start[sat_links] + csr_len[sat_links])]
+                cslots = slot_arr[cand[cand >= 0]]
+                if scratch is None:
+                    scratch = np.empty(frozen.shape[0], dtype=np.int64)
+                at = np.arange(cslots.shape[0])
+                scratch[cslots] = at
+                cslots = cslots[scratch[cslots] == at]
             new = cslots[~frozen[cslots]]
             touched = None
             if new.shape[0]:

@@ -110,7 +110,8 @@ class Topology(ABC):
         endpoints raise :class:`RoutingError`.  This default walks each
         pair with :meth:`vertex_path` and translates all the walks with
         one link lookup; the torus/mesh, fattree, GHC and nested families
-        override it with vectorised walks.
+        override it, computing each hop's link id from the layout in
+        which they register their links (:meth:`_grid_routes`).
         """
         src, dst = self._check_endpoints(src, dst)
         return self._walk_routes(src, dst, walks.from_rows(
@@ -137,6 +138,33 @@ class Topology(ABC):
         out[np.arange(body.shape[0]) + 2 * np.repeat(rows, np.diff(indptr) - 1)
             + 1] = body
         return out_ptr, out
+
+    def _grid_routes(self, src: np.ndarray, dst: np.ndarray,
+                     *blocks: tuple[np.ndarray, np.ndarray | None]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Link-id routes assembled from blocks of link ids.
+
+        Each block is ``(ids, keep)`` with one column per pair: ``ids`` a
+        ``(width, pairs)`` grid or a single row of ``pairs`` ids, ``keep``
+        a mask of the same shape, or ``None`` to keep every cell.  Row
+        ``i`` of the result is ``src[i]``'s injection link, the kept
+        cells of column ``i`` block by block, top to bottom, and
+        ``dst[i]``'s consumption link.
+        """
+        blocks = [(ids if ids.ndim == 2 else ids[None], keep)
+                  for ids, keep in blocks]
+        grid = np.empty((2 + sum(ids.shape[0] for ids, _ in blocks),
+                         src.shape[0]), dtype=np.int64)
+        keep_all = np.ones(grid.shape, dtype=bool)
+        np.take(self._inj, src, out=grid[0])
+        np.take(self._cons, dst, out=grid[-1])
+        at = 1
+        for ids, keep in blocks:
+            grid[at:at + ids.shape[0]] = ids
+            if keep is not None:
+                keep_all[at:at + ids.shape[0]] = keep
+            at += ids.shape[0]
+        return walks.from_columns(grid, keep_all)
 
     def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
         """Every minimal vertex walk ``src -> dst``, deterministic first.
@@ -301,9 +329,10 @@ class FabricTopology(Topology):
 
     The fattree, thin-tree and GHC families: endpoint ``e`` hangs off
     fabric port ``e`` by one duplex access cable.  The fabric supplies the
-    switch counts, its switch-to-switch links and its port-to-port
-    switch walks (``port_path``, ``port_paths``, ``port_path_batch``);
-    switch ``s`` of the fabric is vertex ``num_endpoints + s``.
+    switch counts, its switch-to-switch links, its port-to-port switch
+    walks (``port_path``, ``port_paths``) and their links (``port_links``,
+    ordinals in the order ``build_links`` registers them); switch ``s`` of
+    the fabric is vertex ``num_endpoints + s``.
     """
 
     def __init__(self, fabric, link_capacity: float,
@@ -312,8 +341,11 @@ class FabricTopology(Topology):
                          link_capacity, nic_capacity)
         self.fabric = fabric
         self._switch_offset = offset = self.num_endpoints
+        self._fabric_first = self.links.num_links
         fabric.build_links(self.links, offset, link_capacity)
         ports = np.arange(self.num_endpoints, dtype=np.int64)
+        # access cable p: link 2p climbs from endpoint p, 2p + 1 descends
+        self._access_first = self.links.num_links
         self.links.add_cables(ports, offset + fabric.port_switches(ports),
                               link_capacity)
         self._finalize()
@@ -328,16 +360,16 @@ class FabricTopology(Topology):
 
     def routes(self, src: np.ndarray, dst: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`vertex_path` walks: ``[src]`` when the endpoints
-        coincide, else ``src``, the fabric's ``port_path_batch`` switches
-        and ``dst``."""
+        """Batched :meth:`route`: the two NIC links alone when the
+        endpoints coincide, else the source's access link up, the
+        fabric's ``port_links`` and the destination's access link down."""
         src, dst = self._check_endpoints(src, dst)
         apart = src != dst
-        ptr, switches = self.fabric.port_path_batch(src[apart], dst[apart])
-        return self._walk_routes(src, dst, walks.concat_rows(
-            walks.singletons(src),
-            walks.spread(apart, (ptr, switches + self._switch_offset)),
-            walks.spread(apart, walks.singletons(dst[apart]))))
+        grid, keep = self.fabric.port_links(src, dst)
+        return self._grid_routes(
+            src, dst, (self._access_first + 2 * src, apart),
+            (grid + self._fabric_first, keep),
+            (self._access_first + 2 * dst + 1, apart))
 
     def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
         """One walk per minimal fabric walk, the deterministic one first."""

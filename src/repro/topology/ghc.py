@@ -14,11 +14,12 @@ endpoints per switch reproduces the paper's full-scale switch count of
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.routing import ecube, walks
+from repro.routing import ecube
 from repro.topology.base import FabricTopology
 from repro.topology.linktable import LinkTable
 from repro.topology.planner import ghc_radices
@@ -118,26 +119,42 @@ class GHCFabric:
         return ports // self.ports_per_switch
 
     # ------------------------------------------------------------------ build
-    def build_links(self, links: LinkTable, offset: int, capacity: float) -> None:
-        """Register every duplex switch-to-switch link, ids offset by
-        ``offset``, in one batch: switch by switch, each cable to a switch
-        with a higher coordinate in one dimension, dimension by dimension
-        and then by that coordinate."""
+    def _cable_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(upper, held)``, one row per switch: the switch each column
+        ``(dimension, higher coordinate)`` leads to, and whether that
+        coordinate is higher than the switch's own (the cell holds a
+        cable).  Columns go dimension by dimension, then by coordinate;
+        the cables are the held cells in row-major order."""
         sw = np.arange(self.num_switches, dtype=np.int64)
         cols, keep = [], []
         stride = 1
         for k in self.radices:
             coord = (sw // stride) % k
-            for step in range(1, k):
-                cols.append(sw + step * stride)
-                keep.append(coord + step < k)
+            for higher in range(k):
+                cols.append(sw + (higher - coord) * stride)
+                keep.append(coord < higher)
             stride *= k
-        if cols:
-            grid = np.stack(cols, axis=1)
-            mask = np.stack(keep, axis=1)
-            links.add_cables(offset + np.broadcast_to(sw[:, None],
-                                                      grid.shape)[mask],
-                             offset + grid[mask], capacity)
+        if not cols:
+            return (np.empty((sw.shape[0], 0), dtype=np.int64),
+                    np.empty((sw.shape[0], 0), dtype=bool))
+        return np.stack(cols, axis=1), np.stack(keep, axis=1)
+
+    def build_links(self, links: LinkTable, offset: int, capacity: float) -> None:
+        """Register every duplex switch-to-switch link, ids offset by
+        ``offset``, in one batch: switch by switch, each cable to a switch
+        with a higher coordinate in one dimension, dimension by dimension
+        and then by that coordinate (:meth:`_cable_grid`)."""
+        grid, held = self._cable_grid()
+        if grid.shape[1]:
+            links.add_cables(offset + np.broadcast_to(
+                np.arange(self.num_switches, dtype=np.int64)[:, None],
+                grid.shape)[held], offset + grid[held], capacity)
+
+    @cached_property
+    def _cable_rank(self) -> np.ndarray:
+        """Per :meth:`_cable_grid` cell, flattened: the ordinal of the
+        cable it holds (arbitrary where it holds none)."""
+        return np.cumsum(self._cable_grid()[1].ravel()) - 1
 
     # ---------------------------------------------------------------- routing
     def port_path(self, src_port: int, dst_port: int) -> list[int]:
@@ -161,28 +178,42 @@ class GHCFabric:
                 for walk in ecube.paths(self.coord_of(a), self.coord_of(b),
                                         self.radices)]
 
-    def port_path_batch(self, src_ports: np.ndarray,
-                        dst_ports: np.ndarray) -> walks.CSR:
-        """:meth:`port_path` for many distinct port pairs, as a CSR batch.
+    def port_links(self, src_ports: np.ndarray, dst_ports: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The hops of :meth:`port_path` for many port pairs, as link
+        ordinals in :meth:`build_links` order.
 
-        Ascending e-cube: starting from the source switch, each dimension
-        in which the two switches differ is replaced by the destination's
-        coordinate, one hop each.  Ports are not range-checked.
+        Returns a ``(grid, keep)`` pair of ``(dimensions, pairs)`` arrays:
+        row ``i`` is the e-cube hop that sets dimension ``i`` to the
+        destination switch's coordinate, kept when the coordinates
+        differ; identical ports keep none.  The hop crosses the cable of
+        the lower of its two switches in cell ``(dimension, higher
+        coordinate)`` of :meth:`_cable_grid`: its link ``2c`` when it
+        climbs, ``2c + 1`` when it descends.  Ports are not range-checked.
         """
-        src = np.asarray(src_ports, dtype=np.int64)
-        dst = np.asarray(dst_ports, dtype=np.int64)
-        if bool((src == dst).any()):
-            raise TopologyError("no switch path between identical ports")
-        a = (src // self.ports_per_switch)[:, None]
-        b = (dst // self.ports_per_switch)[:, None]
+        a = np.asarray(src_ports, dtype=np.int64) // self.ports_per_switch
+        b = np.asarray(dst_ports, dtype=np.int64) // self.ports_per_switch
+        have = np.take(self._coords, a, axis=1)
+        want = np.take(self._coords, b, axis=1)
         radix = np.asarray(self.radices, dtype=np.int64)
-        stride = np.cumprod(np.concatenate(([1], radix)))[:-1]
-        change = ((b // stride) % radix - (a // stride) % radix) * stride
-        # column i + 1: the switch once dimensions 0..i are corrected
-        grid = np.concatenate((a, a + np.cumsum(change, axis=1)), axis=1)
-        keep = np.concatenate((np.ones_like(a, dtype=bool), change != 0),
-                              axis=1)
-        return walks.from_grid(grid, keep)
+        stride = np.cumprod(np.concatenate(([1], radix[:-1])))[:, None]
+        # each dimension's first column, in a row of sum(radices) columns
+        first = (np.cumsum(radix) - radix)[:, None]
+        move = (want - have) * stride
+        # the switch each hop leaves: the dimensions below it corrected
+        leave = a + np.cumsum(move, axis=0) - move
+        cell = (leave + (np.minimum(have, want) - have) * stride) \
+            * int(radix.sum()) + first + np.maximum(have, want)
+        return 2 * self._cable_rank[cell] + (want < have), have != want
+
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        """``(dimensions, switches)``: every switch's coordinates."""
+        sw = np.arange(self.num_switches, dtype=np.int64)
+        out = np.empty((len(self.radices), sw.shape[0]), dtype=np.int64)
+        for dim, k in enumerate(self.radices):
+            sw, out[dim] = np.divmod(sw, k)
+        return out
 
     # --------------------------------------------------------------- analysis
     def routing_diameter(self) -> int:

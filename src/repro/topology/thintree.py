@@ -26,7 +26,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.routing import walks
 from repro.topology.base import FabricTopology
 from repro.topology.linktable import LinkTable
 from repro.units import DEFAULT_LINK_CAPACITY
@@ -99,6 +98,11 @@ class ThinTreeFabric:
         self.num_switches = sum(
             (self.num_ports // self._group[level]) * self._digits[level - 1]
             for level in range(1, self.num_stages + 1))
+        # first cable of each level's up-cables, in build_links order
+        cables = [(self.num_ports // self._group[level])
+                  * self._digits[level - 1] * self.up[level - 1]
+                  for level in range(1, self.num_stages)]
+        self._cable_start = np.cumsum([0, *cables]).tolist()
 
     # -------------------------------------------------------------- indexing
     def switch_id(self, level: int, subtree: int, digits: tuple[int, ...]) -> int:
@@ -189,40 +193,47 @@ class ThinTreeFabric:
         return [self._walk(src_port, dst_port, m, combo)
                 for combo in itertools.product(*choices)]
 
-    def port_path_batch(self, src_ports: np.ndarray,
-                        dst_ports: np.ndarray) -> walks.CSR:
-        """:meth:`port_path` for many distinct port pairs, as a CSR batch.
+    def port_links(self, src_ports: np.ndarray, dst_ports: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The hops of :meth:`port_path` for many port pairs, as link
+        ordinals in :meth:`build_links` order.
 
-        The d-mod-k climb to the nearest common ancestor level ``m`` visits
-        the level-``L`` switch of subtree ``src // K_L`` whose digits are
-        the destination's low ``L - 1`` digits (each modulo its
-        up-arity); the forced descent visits the level-``L`` switch of
-        subtree ``dst // K_L`` with the same digits, for
-        ``L = m - 1 .. 1``.  Ports are not range-checked.
+        Returns a ``(grid, keep)`` pair of ``(2 * (stages - 1), pairs)``
+        arrays whose column ``i`` keeps, top to bottom, the links of the
+        walk ``src -> dst``; identical ports keep none.  Level ``L``'s
+        cables follow ``(level, lower switch, up digit)`` order, cable
+        ``c`` being links ``2c`` (up) and ``2c + 1`` (down).  The d-mod-k
+        climb leaves the level-``L`` switch of subtree ``src // K_L``,
+        whose digits are the destination's low ``L - 1`` digits (each
+        modulo its up-arity), through up digit ``dst``'s ``L``-th; the
+        descent enters the level-``L`` switch of subtree ``dst // K_L``
+        with the same digits through the same up digit.  A level is
+        crossed when the two ports' level-``L`` subtrees differ.  Ports
+        are not range-checked.
         """
-        src = np.asarray(src_ports, dtype=np.int64)[:, None]
-        dst = np.asarray(dst_ports, dtype=np.int64)[:, None]
-        if bool((src == dst).any()):
-            raise TopologyError("no switch path between identical ports")
-        stages = self.num_stages
-        group = np.asarray(self._group, dtype=np.int64)    # K_0 .. K_n
-        width = np.asarray(self._digits, dtype=np.int64)   # per subtree
-        offset = np.asarray(self._level_offset[1:], dtype=np.int64)
-        climb = ((dst // group[:-2]) % np.asarray(self.down[:-1])
-                 % np.asarray(self.up, dtype=np.int64))
-        # a level-L switch's intra-subtree value: its L - 1 climb digits
-        value = np.concatenate(
-            (np.zeros_like(src), np.cumsum(climb * width[:-1], axis=1)),
-            axis=1)
-        up = offset + (src // group[1:]) * width + value
-        down = offset + (dst // group[1:]) * width + value
-        # the NCA level is the lowest level whose subtrees coincide
-        nca = stages + 1 - (src // group[1:] == dst // group[1:]).sum(
-            axis=1, keepdims=True)
-        # columns: climb through levels 1..n, then descend n-1..1
-        grid = np.concatenate((up, down[:, :stages - 1][:, ::-1]), axis=1)
-        col = np.arange(2 * stages - 1)
-        return walks.from_grid(grid, (col < nca) | (col >= 2 * stages - nca))
+        src = np.asarray(src_ports, dtype=np.int64)
+        dst = np.asarray(dst_ports, dtype=np.int64)
+        levels = self.num_stages - 1
+        grid = np.empty((2 * levels, src.shape[0]), dtype=np.int64)
+        keep = np.empty(grid.shape, dtype=bool)
+        # the climb's intra-subtree value and the destination's digits
+        value = np.zeros_like(dst)
+        rest = dst // self.down[0]
+        digit = dst % self.down[0]
+        for level in range(1, levels + 1):
+            width, up = self._digits[level - 1], self.up[level - 1]
+            climb = digit % up
+            cable = self._cable_start[level - 1] + value * up + climb
+            src_sub = src // self._group[level]
+            dst_sub = dst // self._group[level]
+            # climbing from level ``level``, and descending to it
+            grid[level - 1] = 2 * (cable + src_sub * (width * up))
+            grid[-level] = 2 * (cable + dst_sub * (width * up)) + 1
+            np.not_equal(src_sub, dst_sub, out=keep[level - 1])
+            keep[-level] = keep[level - 1]
+            value += climb * width
+            rest, digit = np.divmod(rest, self.down[level])
+        return grid, keep
 
     # --------------------------------------------------------------- analysis
     def routing_diameter(self) -> int:

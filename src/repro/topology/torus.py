@@ -62,9 +62,12 @@ class TorusTopology(Topology):
 
     def routes(self, src: np.ndarray, dst: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`route`: the torus links come first in the link
+        table, so a hop's :func:`~repro.routing.dor.path_links` ordinal
+        is its link id."""
         src, dst = self._check_endpoints(src, dst)
-        return self._walk_routes(
-            src, dst, dor.path_batch(src, dst, self.dims,
+        return self._grid_routes(
+            src, dst, dor.path_links(src, dst, self.dims,
                                      torus=self.wraparound))
 
     def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:

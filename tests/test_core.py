@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (DesignSpaceExplorer, PAPER_CONFIGS, TopologySpec,
-                        WorkloadSpec, baseline_specs, hybrid_specs)
+from dataclasses import replace
+from pathlib import Path
+
+from repro.core import (DesignSpaceExplorer, PAPER_CONFIGS, ResultTable,
+                        RunRecord, TopologySpec, WorkloadSpec,
+                        baseline_specs, hybrid_specs)
 from repro.errors import ConfigError
 
 
@@ -76,6 +80,35 @@ class TestExplorer:
         assert len(lines) == 1 + len(table.records)
         assert lines[0].startswith("workload,topology")
 
+    def test_csv_quotes_labels_and_round_trips(self, table):
+        import csv
+        import io
+
+        text = table.to_csv()
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [r["topology"] for r in rows] == \
+            [r.topology for r in table.records]
+        assert all(None not in r for r in rows)  # no overflow column
+        back = ResultTable.from_csv(text, table.endpoints, table.fidelity)
+        assert back.to_csv() == text
+        for got, want in zip(back.records, table.records, strict=True):
+            assert got == replace(want, wall_seconds=round(
+                want.wall_seconds, 3), timeline=None, transient=None)
+
+    def test_csv_round_trips_faults_and_routing(self):
+        record = RunRecord("reduce", "nestghc(2,4)", "nestghc", 2, 4,
+                           0.125, 10, 3, 2, 1.5,
+                           faults={"cables": 2, "uplinks": 1, "seed": 7},
+                           routing="ecmp")
+        table = ResultTable(64, "exact", [record])
+        assert "2c+1u@s7" in table.to_csv()
+        assert ResultTable.from_csv(table.to_csv(), 64, "exact").records \
+            == [record]
+
+    def test_csv_rejects_a_foreign_header(self):
+        with pytest.raises(ConfigError):
+            ResultTable.from_csv("a,b\n1,2\n", 64)
+
     def test_missing_cell_raises(self, table):
         with pytest.raises(KeyError):
             table.cell("reduce", "dragonfly")
@@ -132,3 +165,34 @@ class TestSkippedConfigs:
         explorer = DesignSpaceExplorer(512)
         assert len(explorer.configs) == 12
         assert explorer.skipped_configs == ()
+
+
+class TestCommittedCsv:
+    """The committed sweep CSVs load, legacy layouts included: a missing
+    file fails the test."""
+
+    @pytest.mark.parametrize("name,endpoints,workloads", [
+        ("fig4_2048.csv", 2048, ["allreduce", "bisection", "nbodies",
+                                 "nearneighbors", "unstructuredapp",
+                                 "unstructuredhr"]),
+        ("fig4_32768.csv", 32768, ["allreduce"]),
+        ("fig5_2048.csv", 2048, ["flood", "mapreduce", "reduce", "sweep3d",
+                                 "unstructuredmgnt"]),
+    ])
+    def test_loads_every_row(self, name, endpoints, workloads):
+        path = Path(__file__).resolve().parent.parent / "results" / name
+        table = ResultTable.from_csv(path.read_text(), endpoints)
+        labels = [s.label()
+                  for s in DesignSpaceExplorer(endpoints).topology_specs()]
+        assert len(labels) == 26
+        assert len(table.records) == 26 * len(workloads)
+        assert table.workloads() == workloads
+        for workload in workloads:
+            assert [r.topology for r in table.records
+                    if r.workload == workload] == labels
+        for r in table.records:
+            assert r.faults is None and r.routing == "deterministic"
+            assert r.family == (r.topology.split("(")[0])
+            assert (r.t is None) == (r.u is None) == \
+                (r.family in ("fattree", "torus"))
+            assert r.makespan > 0

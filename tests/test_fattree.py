@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.topology import FatTreeFabric, FatTreeTopology
+from repro.topology.linktable import LinkTable
 from repro.topology.planner import fattree_arities
 from tests import updown_oracle as updown
 
@@ -137,12 +138,14 @@ class TestMatchesUpDownOracle:
             return [fabric.switch_id(s.level, s.subtree, s.digits)
                     for s in walk]
 
+        table = LinkTable()
+        fabric.build_links(table, 0, 1.0)
         pairs = [(a, b) for a in range(fabric.num_ports)
                  for b in range(fabric.num_ports) if a != b]
-        ptr, switches = fabric.port_path_batch(*np.asarray(pairs).T)
+        grid, keep = fabric.port_links(*np.asarray(pairs).T)
         for i, (a, b) in enumerate(pairs):
             det = fabric.port_path(a, b)
-            assert switches[ptr[i]:ptr[i + 1]].tolist() == det
+            assert grid[keep[:, i], i].tolist() == table.path_to_links(det)
             if fabric.port_switch(a) == fabric.port_switch(b):
                 assert det == [fabric.port_switch(a)]
                 continue

@@ -112,10 +112,15 @@ class TestBatchedWalks:
     def test_batch_matches_scalar_walks(self, down, up):
         import numpy as np
 
+        from repro.topology.linktable import LinkTable
+
         fabric = ThinTreeFabric(down, up)
+        table = LinkTable()
+        fabric.build_links(table, 0, 1.0)
         pairs = [(a, b) for a in range(fabric.num_ports)
                  for b in range(fabric.num_ports) if a != b]
-        ptr, switches = fabric.port_path_batch(*np.asarray(pairs).T)
+        grid, keep = fabric.port_links(*np.asarray(pairs).T)
         for i, (a, b) in enumerate(pairs):
-            assert switches[ptr[i]:ptr[i + 1]].tolist() == \
-                fabric.port_path(a, b) == fabric.port_paths(a, b)[0]
+            walk = fabric.port_path(a, b)
+            assert walk == fabric.port_paths(a, b)[0]
+            assert grid[keep[:, i], i].tolist() == table.path_to_links(walk)
