@@ -2,9 +2,9 @@
 
 ``routes(src, dst)`` must return, row for row, exactly what the scalar
 ``route(s, d)`` returns — NIC links included — for every family: the
-torus/mesh, fattree, GHC and nested families through their vectorised
-walks, the others (and any ``DegradedTopology``) through the base-class
-loop.  The route cache the simulator fills in batches must serve the
+torus/mesh, fattree, GHC and nested families through link ids computed
+from their wiring layout, the others (and any ``DegradedTopology``)
+through the base-class loop.  The route cache the simulator fills in batches must serve the
 scalar lookups that follow with the same keys, dtype and array objects.
 """
 
