@@ -143,6 +143,24 @@ def _nz(mask: np.ndarray) -> np.ndarray:
     return mask.nonzero()[0]
 
 
+def level_step(cr: np.ndarray, cn: np.ndarray, level: float,
+               sat_floor: np.ndarray
+               ) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """One water level of the reference loop over some current links.
+
+    ``cr``/``cn`` are the links' residual capacities and unfrozen
+    counts, ``level`` the water level so far.  Returns the increment
+    (the lowest share), the new level, the residuals after it and the
+    mask of the links it saturates: those left at most their
+    ``sat_floor``.  The fill's steps and the full pass's first-level
+    exit (:meth:`~repro.engine.active.ActiveSet._first_level_fill`)
+    both take their levels from here.
+    """
+    delta = float(_min(cr / cn))
+    cr = cr - delta * cn
+    return delta, level + delta, cr, cr <= sat_floor
+
+
 def replay(cap_rem: np.ndarray, counts: np.ndarray, tau: np.ndarray,
            t_end: int, deltas: np.ndarray, touch_row: np.ndarray,
            touch_iter: np.ndarray) -> np.ndarray:
@@ -336,15 +354,11 @@ def fill(capacities: np.ndarray, sat_floor: np.ndarray,
             if win.shape[0] == 0:
                 return 1, it, nsat, rounds
             rounds += 1
-            cr = cap_rem[win]
-            cn = counts[win]
-            delta = float(_min(cr / cn))
-            level += delta
+            delta, level, cr, sat_local = level_step(
+                cap_rem[win], counts[win], level, sat_floor[win])
             delta_out[it] = delta
             level_out[it] = level
-            cr = cr - delta * cn
             cap_rem[win] = cr
-            sat_local = cr <= sat_floor[win]
             sat_links = win[sat_local]
             levels[sat_links] = level
             level_links_out[nsat:nsat + sat_links.shape[0]] = sat_links

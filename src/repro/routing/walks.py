@@ -32,13 +32,6 @@ def from_rows(rows: Sequence[Sequence[int]]) -> CSR:
                                dtype=np.int64, count=int(indptr[-1]))
 
 
-def from_columns(grid: np.ndarray, keep: np.ndarray) -> CSR:
-    """One row per column of a ``(width, rows)`` grid, each holding its
-    column's ``keep`` cells, top to bottom."""
-    return (from_lengths(keep.sum(axis=0)),
-            np.compress(keep.T.ravel(), grid.T.ravel()))
-
-
 def spread(mask: np.ndarray, part: CSR) -> CSR:
     """Widen a batch over the rows selected by ``mask`` to every row.
 

@@ -151,20 +151,29 @@ class Topology(ABC):
         cells of column ``i`` block by block, top to bottom, and
         ``dst[i]``'s consumption link.
         """
-        blocks = [(ids if ids.ndim == 2 else ids[None], keep)
+        blocks = [(ids, keep) if ids.ndim == 2
+                  else (ids[None], None if keep is None else keep[None])
                   for ids, keep in blocks]
-        grid = np.empty((2 + sum(ids.shape[0] for ids, _ in blocks),
-                         src.shape[0]), dtype=np.int64)
+        # pair-major, so each route's cells are contiguous and one
+        # compress of the flat grid yields every route in turn; filled a
+        # column at a time, so each copy runs down all the pairs
+        width = 2 + sum(ids.shape[0] for ids, _ in blocks)
+        grid = np.empty((src.shape[0], width), dtype=np.int64)
         keep_all = np.ones(grid.shape, dtype=bool)
-        np.take(self._inj, src, out=grid[0])
-        np.take(self._cons, dst, out=grid[-1])
+        lengths = np.full(src.shape[0], width, dtype=np.int64)
+        grid[:, 0] = self._inj[src]
+        grid[:, -1] = self._cons[dst]
         at = 1
         for ids, keep in blocks:
-            grid[at:at + ids.shape[0]] = ids
+            for row in range(ids.shape[0]):
+                grid[:, at + row] = ids[row]
+                if keep is not None:
+                    keep_all[:, at + row] = keep[row]
             if keep is not None:
-                keep_all[at:at + ids.shape[0]] = keep
+                lengths -= ids.shape[0] - keep.sum(axis=0)
             at += ids.shape[0]
-        return walks.from_columns(grid, keep_all)
+        return (walks.from_lengths(lengths),
+                np.compress(keep_all.ravel(), grid.ravel()))
 
     def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
         """Every minimal vertex walk ``src -> dst``, deterministic first.
@@ -366,9 +375,10 @@ class FabricTopology(Topology):
         src, dst = self._check_endpoints(src, dst)
         apart = src != dst
         grid, keep = self.fabric.port_links(src, dst)
+        grid += self._fabric_first
         return self._grid_routes(
             src, dst, (self._access_first + 2 * src, apart),
-            (grid + self._fabric_first, keep),
+            (grid, keep),
             (self._access_first + 2 * dst + 1, apart))
 
     def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:

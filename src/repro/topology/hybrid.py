@@ -309,8 +309,8 @@ class NestedTopology(Topology):
     def _intra_routes(self, src, dst, sub, src_local, dst_local) -> walks.CSR:
         """:meth:`routes` of same-subtorus pairs."""
         grid, keep = dor.path_links(src_local, dst_local, self.plan.dims)
-        return self._grid_routes(
-            src, dst, (grid + sub * self.links_per_subtorus, keep))
+        grid += sub * self.links_per_subtorus
+        return self._grid_routes(src, dst, (grid, keep))
 
     def _inter_routes(self, src, dst, src_sub, src_local, dst_sub,
                       dst_local) -> walks.CSR:
@@ -319,17 +319,20 @@ class NestedTopology(Topology):
         exit_port = src_sub * per_subtorus + self._exit_rank[src_local]
         entry_port = dst_sub * per_subtorus + self._exit_rank[dst_local]
         grid, keep = self.fabric.port_links(exit_port, entry_port)
+        grid += self._fabric_first
         up, up_keep = self._up_leg
         down, down_keep = self._down_leg
         shift = self.links_per_subtorus
+        up = np.take(up, src_local, axis=1)
+        up += src_sub * shift
+        down = np.take(down, dst_local, axis=1)
+        down += dst_sub * shift
         return self._grid_routes(
-            src, dst, (np.take(up, src_local, axis=1) + src_sub * shift,
-                       np.take(up_keep, src_local, axis=1)),
+            src, dst, (up, np.take(up_keep, src_local, axis=1)),
             (self._uplink_first + 2 * exit_port, None),
-            (grid + self._fabric_first, keep),
+            (grid, keep),
             (self._uplink_first + 2 * entry_port + 1, None),
-            (np.take(down, dst_local, axis=1) + dst_sub * shift,
-             np.take(down_keep, dst_local, axis=1)))
+            (down, np.take(down_keep, dst_local, axis=1)))
 
     def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
         """All minimal nested walks ``src -> dst``.

@@ -75,8 +75,11 @@ def allocate(link_entries: np.ndarray, flow_ptr: np.ndarray,
     stats:
         Optional out-parameter: when a dict is supplied, the number of
         progressive-filling iterations (water-level raises) is written to
-        ``stats["iterations"]``.  Used by the observability layer; the
-        default (``None``) adds no work to the loop.
+        ``stats["iterations"]``, each iteration's increment and
+        cumulative level to ``stats["deltas"]`` and ``stats["levels"]``,
+        and the links each iteration saturated, ascending per iteration,
+        to ``stats["saturated"]`` (one array of link ids per iteration).
+        The default (``None``) adds no work to the loop.
 
     Returns
     -------
@@ -97,9 +100,13 @@ def allocate(link_entries: np.ndarray, flow_ptr: np.ndarray,
     count: ascending flow id there, batch order here).
     """
     num_flows = flow_ptr.shape[0] - 1
+    deltas: list[float] = []
+    levels: list[float] = []
+    saturated_links: list[np.ndarray] = []
+    if stats is not None:
+        stats.update(iterations=0, deltas=deltas, levels=levels,
+                     saturated=saturated_links)
     if num_flows == 0:
-        if stats is not None:
-            stats["iterations"] = 0
         return np.empty(0, dtype=np.float64)
     if link_entries.shape[0] != flow_ptr[-1]:
         raise SimulationError("flow_ptr does not cover link_entries")
@@ -155,6 +162,10 @@ def allocate(link_entries: np.ndarray, flow_ptr: np.ndarray,
             # numerically the minimum itself must have saturated
             act = np.nonzero(active_link)[0]
             saturated = act[cap_rem[act] <= cap_rem[act].min() + sat_floor[act]]
+        if stats is not None:
+            deltas.append(delta)
+            levels.append(level)
+            saturated_links.append(used[saturated])
         # freeze every unfrozen flow crossing a saturated link
         frozen_entries = np.concatenate(
             [flows_by_link[link_indptr[l]:link_indptr[l + 1]] for l in saturated])
