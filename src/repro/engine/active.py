@@ -690,10 +690,13 @@ class ActiveSet:
         idx = _slices_concat(starts, starts + lens)
         return self._entries[idx], idx
 
-    def _csr_rebuild(self, weights: np.ndarray | None,
-                     slack: bool) -> None:
+    def _csr_rebuild(self, weights: np.ndarray | None, slack: bool,
+                     live: tuple[np.ndarray, int | np.ndarray],
+                     link_nnz: np.ndarray) -> None:
         """Rebuild the persistent link→flows CSR from the pool.
 
+        ``live`` is :meth:`_live_entries` and ``link_nnz`` the per-link
+        count of those entries, both as the pass gathered them.
         Vectorised (one sort of the live entries packed with their
         positions, :func:`_packed_order`); also recomputes the per-link
         occupancy into ``self._counts``.  With ``slack`` each link's
@@ -705,13 +708,12 @@ class ActiveSet:
         m = self._m
         counts = self._counts
         num_links = counts.shape[0]
-        work_e, where = self._live_entries()
+        work_e, where = live
         if self._tail - self._live_nnz > max(_COMPACT_SLACK, self._live_nnz):
             self._compact(work_e)
             work_e, where = self._entries[:self._tail], 0
         work_o = np.repeat(np.arange(m, dtype=np.int64), self._lens[:m])
 
-        link_nnz = np.bincount(work_e, minlength=num_links).astype(np.int64)
         if weights is None:
             np.copyto(counts, link_nnz)
         else:
@@ -751,21 +753,21 @@ class ActiveSet:
         np.copyto(self._csr_len, link_nnz)
         self._csr_dead = 0
 
-    def _first_level_fill(self) -> bool:
+    def _first_level_fill(self, entries: np.ndarray,
+                          link_nnz: np.ndarray) -> bool:
         """Finish an unweighted full pass at its first water level.
 
         Takes the fill's first step (:func:`numpy_fill.level_step` over
-        every live link, in ascending order) from per-link counts alone,
-        with no link→flows CSR.  When every flow crosses a link that
-        saturates at that level, the fill would stop there: this writes
-        what it would have written (rates, the links' levels and their
-        list, the one-entry sequences, the counters) and returns
-        ``True``; the CSR is left invalid, as after a tight rebuild.
-        Otherwise it writes nothing and returns ``False``.
+        every live link, in ascending order) from the per-link counts
+        ``link_nnz`` of the live ``entries`` alone, with no link→flows
+        CSR.  When every flow crosses a link that saturates at that
+        level, the fill would stop there: this writes what it would have
+        written (rates, the links' levels and their list, the one-entry
+        sequences, the counters) and returns ``True``; the CSR is left
+        invalid, as after a tight rebuild.  Otherwise it writes nothing
+        and returns ``False``.
         """
         m = self._m
-        entries, _ = self._live_entries()
-        link_nnz = np.bincount(entries, minlength=self.capacities.shape[0])
         act = np.flatnonzero(link_nnz)
         caps = self.capacities[act]
         if not self._caps_all_positive and bool((caps <= 0).any()):
@@ -820,10 +822,13 @@ class ActiveSet:
             np.copyto(counts, self._counts_base)
         else:
             slack = self._churn_units <= max(_PATCH_MAX, m >> 3)
-            if not (slack or self._weighted) and self._first_level_fill():
+            live = self._live_entries()
+            link_nnz = np.bincount(live[0], minlength=counts.shape[0])
+            if not (slack or self._weighted) \
+                    and self._first_level_fill(live[0], link_nnz):
                 self._churn_units = 0
                 return 1
-            self._csr_rebuild(weights, slack=slack)
+            self._csr_rebuild(weights, slack, live, link_nnz)
         self._churn_units = 0
 
         act = np.flatnonzero(counts > 0)

@@ -10,11 +10,11 @@ can be unit-tested in isolation:
   (deterministic / ecmp / adaptive) applied on top of the per-topology
   candidate sets.
 
-Each rule also exposes a candidate enumeration (``dor.paths``,
-``ecube.paths``) returning *every* minimal walk with the deterministic one
-first; the topologies assemble these into
-:meth:`repro.topology.base.Topology.route_candidates`.  The tree fabrics'
-minimal UP*/DOWN* rule lives with the fabric
+The topologies compute every minimal route of many pairs at once from
+their wiring layout (:meth:`repro.topology.base.Topology.candidate_routes`):
+``dor.path_links`` takes a wrap-tie direction choice per pair, and the
+fabrics' ``port_links`` a climb-digit or dimension-order choice.  The tree
+fabrics' minimal UP*/DOWN* rule lives with the fabric
 (:class:`repro.topology.thintree.ThinTreeFabric`).
 """
 

@@ -10,13 +10,13 @@ per-dimension radices and return coordinate sequences.  The batched
 :func:`path_links` returns link ordinals instead: positions in the
 :class:`Layout` order in which :func:`neighbor_links` lists the links, so
 a topology that registers those links as one run turns them into link ids
-by adding the run's first id.
+by adding the run's first id.  It also yields the other minimal walks of
+a pair, the wrap-tie direction choices :func:`wrap_ties` finds.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Iterable, Sequence
 from functools import partial
 
@@ -48,27 +48,6 @@ def wrap_delta(src: int, dst: int, radix: int, *, torus: bool = True) -> int:
 _mesh_delta = partial(wrap_delta, torus=False)
 
 
-def wrap_deltas(src: int, dst: int, radix: int, *, torus: bool = True) -> tuple[int, ...]:
-    """All minimal signed deltas from ``src`` to ``dst`` along one dimension.
-
-    Usually a single delta — the one :func:`wrap_delta` returns.  On a
-    torus of even radix an exact tie (``|dst - src| == radix / 2``) has two
-    minimal directions; both are returned, the positive one first so index 0
-    always matches the deterministic tie-break.
-    """
-    if not 0 <= src < radix or not 0 <= dst < radix:
-        raise RoutingError(f"coordinate out of range: {src}, {dst} for radix {radix}")
-    if not torus:
-        return (dst - src,)
-    forward = (dst - src) % radix
-    backward = forward - radix  # negative
-    if forward < -backward:
-        return (forward,)
-    if forward > -backward:
-        return (backward,)
-    return (forward, backward)  # exact tie: both directions are minimal
-
-
 def distance(src: Coord, dst: Coord, radices: Sequence[int], *, torus: bool = True) -> int:
     """Wrap-aware Manhattan distance between two coordinates."""
     if len(src) != len(radices) or len(dst) != len(radices):
@@ -92,8 +71,28 @@ def path(src: Coord, dst: Coord, radices: Sequence[int], *, torus: bool = True) 
                                         src, dst, radices))
 
 
+def wrap_ties(src: np.ndarray, dst: np.ndarray, radices: Sequence[int], *,
+              torus: bool = True) -> np.ndarray:
+    """``(dimensions, pairs)``: where a DOR leg has two minimal walks.
+
+    A torus dimension of even radix ``k > 2`` ties when the coordinates
+    lie ``k / 2`` apart: both wrap directions are minimal and cross
+    different links.  A radix-2 dimension reaches its one neighbour
+    either way, over the same link, so it never ties; a mesh never does.
+    ``src`` and ``dst`` hold :func:`coord_to_index` indices.
+    """
+    lay = layout(tuple(radices), torus=torus)
+    ties = np.zeros((len(lay.radices), src.shape[0]), dtype=bool)
+    if torus:
+        for dim, (k, stride) in enumerate(zip(lay.radices, lay.strides)):
+            if k > 2 and k % 2 == 0:
+                ties[dim] = 2 * ((dst // stride - src // stride) % k) == k
+    return ties
+
+
 def path_links(src: np.ndarray, dst: np.ndarray, radices: Sequence[int], *,
-               torus: bool = True) -> tuple[np.ndarray, np.ndarray]:
+               torus: bool = True, variant: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """The hops of :func:`path` for many pairs, as link ordinals.
 
     ``src`` and ``dst`` hold :func:`coord_to_index` indices.  Returns a
@@ -104,17 +103,31 @@ def path_links(src: np.ndarray, dst: np.ndarray, radices: Sequence[int], *,
     deltas, exact ties broken towards the positive direction.  Each
     dimension has one row per hop of the batch's longest leg along it.
     Indices are not range-checked; callers validate their endpoints.
+
+    ``variant`` picks, per pair, another minimal walk: the
+    ``variant[i]``-th of the ``2 ** t`` direction choices over the
+    pair's ``t`` tied dimensions (:func:`wrap_ties`), in product order
+    (the last tied dimension varies fastest, positive before negative).
+    Variant 0 is :func:`path`'s walk.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     lay = layout(tuple(radices), torus=torus)
+    flip = None
+    if variant is not None:
+        ties = wrap_ties(src, dst, radices, torus=torus)
+        # the bit of a tied dimension: the number of tied dimensions after it
+        bit = np.cumsum(ties[::-1], axis=0)[::-1] - ties
+        flip = ties & ((variant >> bit) & 1).astype(bool)
     legs = []
-    for k, stride in zip(lay.radices, lay.strides):
+    for dim, (k, stride) in enumerate(zip(lay.radices, lay.strides)):
         sc = (src // stride) % k
         dc = (dst // stride) % k
         if torus:
             forward = (dc - sc) % k
             delta = np.where(forward <= k - forward, forward, forward - k)
+            if flip is not None:
+                delta[flip[dim]] -= k
         else:
             delta = dc - sc
         legs.append((sc, dc, delta, int(np.abs(delta).max(initial=0))))
@@ -156,31 +169,6 @@ def _walk(src: Coord, dst: Coord, radices: Sequence[int],
     if out[-1] != tuple(dst):  # pragma: no cover - deltas reach dst
         raise RoutingError(f"DOR walk from {src} ends at {out[-1]}, "
                            f"not {dst}")
-    return out
-
-
-def paths(src: Coord, dst: Coord, radices: Sequence[int], *, torus: bool = True) -> list[list[Coord]]:
-    """Every minimal DOR coordinate walk ``src -> dst``.
-
-    The cross product of each dimension's minimal wrap directions
-    (:func:`wrap_deltas`); dimensions without an exact wrap tie contribute a
-    single choice, so the common case is one path.  The first entry is
-    always the deterministic :func:`path` (positive tie-break everywhere).
-    Radix-2 ties wrap to the same neighbour in either direction, so their
-    duplicate walks are removed.
-    """
-    if len(src) != len(dst) or len(src) != len(radices):
-        raise RoutingError("coordinate arity does not match radices")
-    per_dim = [wrap_deltas(s, d, k, torus=torus)
-               for s, d, k in zip(src, dst, radices)]
-    out: list[list[Coord]] = []
-    seen: set[tuple[Coord, ...]] = set()
-    for combo in itertools.product(*per_dim):
-        walk = _walk(src, dst, radices, combo)
-        key = tuple(walk)
-        if key not in seen:
-            seen.add(key)
-            out.append(walk)
     return out
 
 

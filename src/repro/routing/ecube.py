@@ -15,7 +15,6 @@ order", Section 4.2).
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 
 from repro.errors import RoutingError
@@ -42,27 +41,6 @@ def path(src: Coord, dst: Coord, radices: Sequence[int]) -> list[Coord]:
         if cur[dim] != dst[dim]:
             cur[dim] = dst[dim]
             out.append(tuple(cur))
-    return out
-
-
-def paths(src: Coord, dst: Coord, radices: Sequence[int]) -> list[list[Coord]]:
-    """Every minimal GHC coordinate walk ``src -> dst``.
-
-    One hop corrects a whole coordinate, so any order of the differing
-    dimensions is minimal; all orders are enumerated.  The first entry is
-    the deterministic ascending-order :func:`path` (``itertools.permutations``
-    emits the sorted order first).
-    """
-    _check(src, dst, radices)
-    diff = [dim for dim in range(len(radices)) if src[dim] != dst[dim]]
-    out: list[list[Coord]] = []
-    for order in itertools.permutations(diff):
-        cur = list(src)
-        walk: list[Coord] = [tuple(cur)]
-        for dim in order:
-            cur[dim] = dst[dim]
-            walk.append(tuple(cur))
-        out.append(walk)
     return out
 
 

@@ -44,6 +44,27 @@ def spread(mask: np.ndarray, part: CSR) -> CSR:
     return from_lengths(lengths), values
 
 
+def expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row ``i`` widened to ``counts[i]`` items: ``(indptr, row, index)``,
+    where item ``j`` belongs to row ``row[j]`` and is that row's
+    ``index[j]``-th, counting from 0."""
+    indptr = from_lengths(counts)
+    row = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
+    return indptr, row, np.arange(row.shape[0], dtype=np.int64) \
+        - indptr[:-1][row]
+
+
+def take(part: CSR, rows: np.ndarray) -> CSR:
+    """The batch of ``part``'s rows ``rows``, in that order."""
+    indptr, values = part
+    lo = indptr[rows]
+    lengths = indptr[rows + 1] - lo
+    out_ptr = from_lengths(lengths)
+    # entry k of taken row r sits at lo[r] + (k - out_ptr[r])
+    return out_ptr, values[np.repeat(lo - out_ptr[:-1], lengths)
+                           + np.arange(int(out_ptr[-1]), dtype=np.int64)]
+
+
 def concat_rows(*parts: CSR) -> CSR:
     """Row-wise concatenation: row ``i`` of the result is row ``i`` of
     every part in turn.  All parts have the same number of rows."""

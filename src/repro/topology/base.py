@@ -30,9 +30,9 @@ from repro.units import DEFAULT_LINK_CAPACITY
 
 #: Cap on the candidate routes a single pair may expose.  Candidate sets
 #: are enumerated deterministic-first, so truncation keeps the
-#: deterministic route and an unbiased prefix of the alternatives; without
-#: a cap the hybrid cross products (tied uplinks x upper-fabric walks) can
-#: explode combinatorially at large arities.
+#: deterministic route and a prefix of the alternatives in enumeration
+#: order; without a cap the hybrid cross products (tied uplinks x
+#: upper-fabric walks) can explode combinatorially at large arities.
 MAX_ROUTE_CANDIDATES = 64
 
 
@@ -175,17 +175,26 @@ class Topology(ABC):
         return (walks.from_lengths(lengths),
                 np.compress(keep_all.ravel(), grid.ravel()))
 
-    def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
-        """Every minimal vertex walk ``src -> dst``, deterministic first.
+    def candidate_routes(self, src: np.ndarray, dst: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every minimal route of many pairs, as one two-level CSR.
 
-        Index 0 is always :meth:`vertex_path` — the deterministic route —
-        and every other entry has the same hop count (all candidates are
-        minimal under the family's routing rule).  The default is the
-        single deterministic walk; families with routing freedom (wrap-tie
-        tori, redundant tree ancestors, e-cube dimension orders, hybrid
-        uplink/fabric combinations) override this.
+        Returns ``(pair_ptr, indptr, links)``: pair ``i`` owns the routes
+        ``pair_ptr[i]:pair_ptr[i + 1]``, and route ``r`` is
+        ``links[indptr[r]:indptr[r + 1]]``, NIC links included.  A pair's
+        first route is its :meth:`routes` row, the deterministic route
+        the :mod:`~repro.routing.policy` layer uses as the escape path;
+        the others are the family's other minimal routes, distinct, in
+        the family's enumeration order, and each pair has at most
+        :data:`MAX_ROUTE_CANDIDATES`.  This default is the deterministic
+        route alone; families with routing freedom (wrap-tie tori,
+        redundant tree ancestors, e-cube dimension orders, hybrid
+        uplink/fabric combinations) compute their other routes from the
+        wiring layout, like :meth:`routes`.
         """
-        return [self.vertex_path(src, dst)]
+        src, dst = self._check_endpoints(src, dst)
+        return (np.arange(src.shape[0] + 1, dtype=np.int64),
+                *self.routes(src, dst))
 
     def route_candidates(self, src: int, dst: int) -> list[list[int]]:
         """All minimal link-id routes ``src -> dst``, NIC links included.
@@ -193,43 +202,29 @@ class Topology(ABC):
         ``route(src, dst) == route_candidates(src, dst)[0]`` always holds:
         candidate 0 is the deterministic route, and the
         :mod:`~repro.routing.policy` layer relies on that as the escape
-        path.  Candidates are deduplicated and capped at
-        :data:`MAX_ROUTE_CANDIDATES`.
+        path.  Candidates are distinct and capped at
+        :data:`MAX_ROUTE_CANDIDATES` (:meth:`candidate_routes`).
         """
         return self.route_candidates_many([(src, dst)])[0]
 
     def route_candidates_many(self, pairs: Sequence[tuple[int, int]]
                               ) -> list[list[list[int]]]:
-        """:meth:`route_candidates` of every ``(src, dst)`` pair, in order.
+        """:meth:`route_candidates` of every ``(src, dst)`` pair, in
+        order: one :meth:`candidate_routes` batch, as lists."""
+        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        pair_ptr, indptr, links = self.candidate_routes(ends[:, 0],
+                                                        ends[:, 1])
+        flat, bounds = links.tolist(), indptr.tolist()
+        routes = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return [routes[lo:hi] for lo, hi in zip(pair_ptr.tolist(),
+                                                pair_ptr[1:].tolist())]
 
-        Every hop of every pair's candidate walks is translated with one
-        link lookup, so a batch of pairs costs one lookup, not one per
-        pair or per walk.
-        """
-        if self._inj is None or self._cons is None:
-            raise RoutingError("topology not finalised; call _finalize()")
-        per_pair = []
-        for src, dst in pairs:
-            self._check_endpoint(src)
-            self._check_endpoint(dst)
-            # dict keys dedupe the walks and keep their order
-            unique = dict.fromkeys(map(tuple,
-                                       self.vertex_path_candidates(src, dst)))
-            per_pair.append(list(unique)[:MAX_ROUTE_CANDIDATES])
-        ids = self.links.ids_of(
-            [a for rows in per_pair for w in rows for a in w[:-1]],
-            [b for rows in per_pair for w in rows for b in w[1:]]).tolist()
-        out: list[list[list[int]]] = []
-        at = 0
-        for (src, dst), rows in zip(pairs, per_pair):
-            inj, cons = int(self._inj[src]), int(self._cons[dst])
-            routes = []
-            for walk in rows:
-                hops = len(walk) - 1
-                routes.append([inj, *ids[at:at + hops], cons])
-                at += hops
-            out.append(routes)
-        return out
+    def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
+        """The vertex walks of :meth:`route_candidates`, deterministic
+        first: each route's network links, as the vertices they join."""
+        heads = self.links.destinations
+        return [[src, *heads[route[1:-1]].tolist()] if len(route) > 2
+                else [src] for route in self.route_candidates(src, dst)]
 
     def hops(self, src: int, dst: int) -> int:
         """Network hop count of the routed path (NIC links excluded)."""
@@ -338,10 +333,11 @@ class FabricTopology(Topology):
 
     The fattree, thin-tree and GHC families: endpoint ``e`` hangs off
     fabric port ``e`` by one duplex access cable.  The fabric supplies the
-    switch counts, its switch-to-switch links, its port-to-port switch
-    walks (``port_path``, ``port_paths``) and their links (``port_links``,
-    ordinals in the order ``build_links`` registers them); switch ``s`` of
-    the fabric is vertex ``num_endpoints + s``.
+    switch counts, its switch-to-switch links, its deterministic
+    port-to-port switch walk (``port_path``), the number of minimal walks
+    between two ports (``port_choices``) and the links of any of them
+    (``port_links``, ordinals in the order ``build_links`` registers
+    them); switch ``s`` of the fabric is vertex ``num_endpoints + s``.
     """
 
     def __init__(self, fabric, link_capacity: float,
@@ -373,22 +369,30 @@ class FabricTopology(Topology):
         endpoints coincide, else the source's access link up, the
         fabric's ``port_links`` and the destination's access link down."""
         src, dst = self._check_endpoints(src, dst)
+        return self._fabric_routes(src, dst)
+
+    def candidate_routes(self, src: np.ndarray, dst: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every minimal route of many pairs: one per fabric walk of the
+        pair's ports (``port_choices``, capped), in the fabric's
+        ``port_links`` variant order, the deterministic walk first."""
+        src, dst = self._check_endpoints(src, dst)
+        walks_of_pair, _ = self.fabric.port_choices(src, dst)
+        pair_ptr, pair, variant = walks.expand(
+            np.minimum(walks_of_pair, MAX_ROUTE_CANDIDATES))
+        return (pair_ptr,
+                *self._fabric_routes(src[pair], dst[pair], variant))
+
+    def _fabric_routes(self, src: np.ndarray, dst: np.ndarray,
+                       variant: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
         apart = src != dst
-        grid, keep = self.fabric.port_links(src, dst)
+        grid, keep = self.fabric.port_links(src, dst, variant)
         grid += self._fabric_first
         return self._grid_routes(
             src, dst, (self._access_first + 2 * src, apart),
             (grid, keep),
             (self._access_first + 2 * dst + 1, apart))
-
-    def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
-        """One walk per minimal fabric walk, the deterministic one first."""
-        self._check_endpoint(src)
-        self._check_endpoint(dst)
-        if src == dst:
-            return [[src]]
-        return [[src, *(self._switch_offset + s for s in body), dst]
-                for body in self.fabric.port_paths(src, dst)]
 
     def routing_diameter(self) -> int:
         """Worst-case endpoint-to-endpoint hop count."""

@@ -31,7 +31,6 @@ Rerouting semantics, in order:
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ import numpy as np
 from repro.errors import DegradedNetworkError, TopologyError
 from repro.routing import walks
 from repro.topology import faults as faults_mod
-from repro.topology.base import Topology
+from repro.topology.base import MAX_ROUTE_CANDIDATES, Topology
 from repro.topology.hybrid import NestedTopology
 
 
@@ -250,32 +249,52 @@ class DegradedTopology(Topology):
                                        faults=self.faults.describe())
         return detour
 
-    def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
-        """Surviving minimal candidates, rerouted deterministic walk first.
-
-        Candidate 0 is :meth:`vertex_path` — which may be a fail-over or
-        BFS detour when the deterministic route is cut.  The remaining
-        entries are the base topology's minimal candidates that survive the
-        fault set, so adaptive/ecmp selection keeps its spreading freedom
-        on the links that are still up.
-        """
-        det = self.vertex_path(src, dst)
-        others = [walk for walk in self.base.vertex_path_candidates(src, dst)
-                  if walk != det]
-        return [det, *itertools.compress(others, self._walks_survive(others))]
-
     def _walk_survives(self, path: list[int]) -> bool:
         """True when the walk avoids failed cables and dead uplink ports."""
-        return self._walks_survive([path])[0]
+        return not self.disabled_link_mask()[
+            self.links.path_to_links(path)].any()
 
-    def _walks_survive(self, paths: list[list[int]]) -> list[bool]:
-        """Per walk, True when it avoids failed cables and dead uplink
-        ports; every hop of every walk is looked up at once."""
-        ids = self.links.ids_of([a for w in paths for a in w[:-1]],
-                                [b for w in paths for b in w[1:]])
-        return _clean_rows(
-            np.cumsum([0, *(len(w) - 1 for w in paths)]),
-            self.disabled_link_mask()[ids])
+    def candidate_routes(self, src: np.ndarray, dst: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Surviving minimal candidates, rerouted deterministic route first.
+
+        A pair's first route is its :meth:`routes` row, which may be a
+        fail-over or detour when the deterministic route is cut.  The
+        others are the base machine's candidates that cross no disabled
+        link, in the base's order, less any equal to that first route;
+        spreading policies keep their freedom on the links still up.
+        """
+        src, dst = self._check_endpoints(src, dst)
+        det = self.routes(src, dst)
+        pair_ptr, *base = self.base.candidate_routes(src, dst)
+        indptr, links = base
+        lengths = np.diff(indptr)
+        pair = np.repeat(np.arange(src.shape[0], dtype=np.int64),
+                         np.diff(pair_ptr))
+        keep = _clean_rows(indptr, self.disabled_link_mask()[links])
+        # a surviving base route as long as the pair's first one may be it
+        same = np.flatnonzero(keep & (lengths == np.diff(det[0])[pair]))
+        if same.shape[0]:
+            mine = walks.take(base, same)
+            theirs = walks.take(det, pair[same])
+            keep[same] = ~_clean_rows(mine[0], mine[1] != theirs[1])
+        # the first route plus at most MAX - 1 others per pair
+        kept = np.flatnonzero(keep)
+        rank = np.arange(kept.shape[0]) - np.searchsorted(
+            pair[kept], pair[kept])
+        kept = kept[rank < MAX_ROUTE_CANDIDATES - 1]
+        others = np.bincount(pair[kept], minlength=src.shape[0])
+        other_ptr = walks.from_lengths(others)
+        # per pair: its first route, then its kept others, as one row of
+        # route lengths and one row of links
+        route_lengths = walks.concat_rows(
+            (np.arange(src.shape[0] + 1), np.diff(det[0])),
+            (other_ptr, lengths[kept]))[1]
+        other_links = walks.take(base, kept)
+        return (other_ptr + np.arange(src.shape[0] + 1),
+                walks.from_lengths(route_lengths),
+                walks.concat_rows(det, (other_links[0][other_ptr],
+                                        other_links[1]))[1])
 
     def routes(self, src: np.ndarray, dst: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -284,8 +303,7 @@ class DegradedTopology(Topology):
         :meth:`vertex_path` does, in pair order."""
         src, dst = self._check_endpoints(src, dst)
         indptr, links = self.base.routes(src, dst)
-        keep = np.asarray(_clean_rows(indptr,
-                                      self.disabled_link_mask()[links]))
+        keep = _clean_rows(indptr, self.disabled_link_mask()[links])
         if keep.all():
             return indptr, links
         lengths = np.diff(indptr)
@@ -379,11 +397,10 @@ class DegradedTopology(Topology):
         return getattr(self.base, name)
 
 
-def _clean_rows(indptr, disabled: np.ndarray) -> list[bool]:
+def _clean_rows(indptr: np.ndarray, disabled: np.ndarray) -> np.ndarray:
     """Per CSR row, True when none of its entries is ``disabled``."""
     hits = np.concatenate(([0], np.cumsum(disabled)))
-    indptr = np.asarray(indptr)
-    return (hits[indptr[1:]] == hits[indptr[:-1]]).tolist()
+    return hits[indptr[1:]] == hits[indptr[:-1]]
 
 
 def degrade(topology: Topology, *, cables: int = 0, uplinks: int = 0,

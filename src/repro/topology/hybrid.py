@@ -47,8 +47,10 @@ class UpperFabric(Protocol):
     def port_switch(self, port: int) -> int: ...
     def port_switches(self, ports: np.ndarray) -> np.ndarray: ...
     def port_path(self, src_port: int, dst_port: int) -> list[int]: ...
-    def port_paths(self, src_port: int, dst_port: int) -> list[list[int]]: ...
-    def port_links(self, src_ports: np.ndarray, dst_ports: np.ndarray
+    def port_choices(self, src_ports: np.ndarray, dst_ports: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]: ...
+    def port_links(self, src_ports: np.ndarray, dst_ports: np.ndarray,
+                   variant: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]: ...
     def routing_diameter(self) -> int: ...
 
@@ -98,26 +100,41 @@ class SubtorusPlan:
     def tied_uplinks(self) -> list[tuple[int, ...]]:
         """All uplinked nodes at minimal DOR distance, per local node.
 
-        The designated uplink comes first.  These are the candidate exits
-        for adaptive/ecmp routing: any of them reaches the upper fabric in
-        the same number of lower-tier hops, so substituting one keeps the
-        lower-tier leg minimal (the total route is still length-filtered
-        against the deterministic route, because the upper-fabric leg may
-        differ between exit ports).  Only candidate routing reads them, so
-        they are computed on first access.
+        The designated uplink comes first, then the others in ascending
+        local id.  These are the candidate exits for adaptive/ecmp
+        routing: any of them reaches the upper fabric in the same number
+        of lower-tier hops, so substituting one keeps the lower-tier leg
+        minimal (the total route is still length-filtered against the
+        deterministic route, because the upper-fabric leg may differ
+        between exit ports).  Only candidate routing reads them, so they
+        are computed on first access.
         """
-        tied: list[tuple[int, ...]] = []
-        coords = [dor.index_to_coord(l, self.dims) for l in range(self.nodes)]
-        for local in range(self.nodes):
-            des = self.designated[local]
-            d0 = dor.distance(coords[local], coords[des], self.dims)
-            ties = [des]
-            for up in self.uplinked:
-                if up != des and dor.distance(coords[local], coords[up],
-                                              self.dims) == d0:
-                    ties.append(up)
-            tied.append(tuple(ties))
-        return tied
+        table, count = self.tied_table
+        return [tuple(row[:k]) for row, k in zip(table.tolist(),
+                                                 count.tolist())]
+
+    @cached_property
+    def tied_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`tied_uplinks` as arrays: ``(table, count)``, where row
+        ``l`` of ``table`` holds node ``l``'s ``count[l]`` tied uplinks,
+        padded with ``-1``."""
+        local = np.arange(self.nodes, dtype=np.int64)
+        up = np.asarray(self.uplinked, dtype=np.int64)
+        # DOR distance from every node to every uplinked node
+        dist = np.zeros((self.nodes, up.shape[0]), dtype=np.int64)
+        for k, stride in zip(self.dims, (1, self.t, self.t * self.t)):
+            forward = (up[None, :] // stride - local[:, None] // stride) % k
+            dist += np.minimum(forward, k - forward)
+        des = self.designated_arr
+        tied = (dist == dist[local, self.rank_arr[des]][:, None]) \
+            & (up[None, :] != des[:, None])
+        count = 1 + tied.sum(axis=1)
+        table = np.full((self.nodes, int(count.max())), -1, dtype=np.int64)
+        table[:, 0] = des
+        # the others in ascending order, after the designated uplink
+        rows, cols = np.nonzero(tied)
+        table[rows, np.cumsum(tied, axis=1)[rows, cols]] = up[cols]
+        return table, count
 
     # ------------------------------------------------------------- placement
     def _is_uplinked(self, x: int, y: int, z: int) -> bool:
@@ -243,15 +260,6 @@ class NestedTopology(Topology):
                           self.plan.dims)
         return [base + dor.coord_to_index(c, self.plan.dims) for c in coords]
 
-    def _local_paths(self, a: int, b: int) -> list[list[int]]:
-        """All minimal DOR walks between same-subtorus endpoints (global ids)."""
-        base = (a // self.plan.nodes) * self.plan.nodes
-        walks = dor.paths(dor.index_to_coord(a - base, self.plan.dims),
-                          dor.index_to_coord(b - base, self.plan.dims),
-                          self.plan.dims)
-        return [[base + dor.coord_to_index(c, self.plan.dims) for c in walk]
-                for walk in walks]
-
     def tied_uplinks_of(self, endpoint: int) -> list[int]:
         """Uplinked endpoints at minimal DOR distance, designated first."""
         s, local = divmod(endpoint, self.plan.nodes)
@@ -334,41 +342,103 @@ class NestedTopology(Topology):
             (self._uplink_first + 2 * entry_port + 1, None),
             (down, np.take(down_keep, dst_local, axis=1)))
 
-    def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
-        """All minimal nested walks ``src -> dst``.
+    def candidate_routes(self, src: np.ndarray, dst: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every minimal nested route of many pairs, deterministic first.
 
-        Intra-subtorus pairs expose every minimal DOR walk.  Inter-subtorus
-        pairs cross every combination of (tied exit uplink) x (minimal DOR
-        leg to it) x (minimal upper-fabric walk) x (tied entry uplink) x
-        (minimal DOR leg from it), filtered to the deterministic route's
-        total length — an alternate exit port can sit closer to or further
-        from the entry port in the upper fabric, and only same-length
-        combinations are minimal.  The deterministic route (designated
-        uplinks, d-mod-k fabric walk, positive wrap tie-breaks) comes first.
+        A same-subtorus pair has its subtorus's minimal DOR routes (the
+        wrap-tie variants of :func:`~repro.routing.dor.path_links`).  Any
+        other pair crosses, in enumeration order, each tied exit uplink
+        (:attr:`SubtorusPlan.tied_table`, designated first) x each tied
+        entry uplink x each up-leg variant x each upper-fabric walk
+        (``port_links`` variants) x each down-leg variant.  The legs to
+        tied uplinks are equally long, so an exit/entry combination is
+        kept when its fabric walk is as long as the designated
+        combination's: an alternate exit port can sit closer to or
+        further from the entry port in the upper fabric.  The cap keeps
+        the first :data:`MAX_ROUTE_CANDIDATES` in that order.
         """
-        self._check_endpoint(src)
-        self._check_endpoint(dst)
-        if src == dst:
-            return [[src]]
-        if self.subtorus_of(src) == self.subtorus_of(dst):
-            return self._local_paths(src, dst)
-        det_len = len(self.vertex_path(src, dst))
-        out: list[list[int]] = []
-        for us in self.tied_uplinks_of(src):
-            for ud in self.tied_uplinks_of(dst):
-                fabric_walks = self.fabric.port_paths(self.port_of(us),
-                                                      self.port_of(ud))
-                for up in self._local_paths(src, us):
-                    for body in fabric_walks:
-                        switches = [self._switch_offset + s for s in body]
-                        for down in self._local_paths(ud, dst):
-                            walk = up + switches + down
-                            if len(walk) != det_len:
-                                continue
-                            out.append(walk)
-                            if len(out) >= MAX_ROUTE_CANDIDATES:
-                                return out
-        return out
+        src, dst = self._check_endpoints(src, dst)
+        src_sub, src_local = np.divmod(src, self.plan.nodes)
+        dst_sub, dst_local = np.divmod(dst, self.plan.nodes)
+        inter = src_sub != dst_sub
+        counts = np.empty(src.shape[0], dtype=np.int64)
+        parts = []
+        for rows, build in ((~inter, self._intra_candidates),
+                            (inter, self._inter_candidates)):
+            if rows.any():
+                counts[rows], *routes = build(
+                    src[rows], dst[rows], src_sub[rows], src_local[rows],
+                    dst_sub[rows], dst_local[rows])
+                parts.append((rows, routes))
+        pair_ptr = walks.from_lengths(counts)
+        if not parts:
+            return pair_ptr, pair_ptr, np.empty(0, dtype=np.int64)
+        if len(parts) == 1:
+            return (pair_ptr, *parts[0][1])
+        # each kind's routes, spread over the routes of every pair
+        return (pair_ptr, *walks.concat_rows(
+            *(walks.spread(np.repeat(rows, counts), part)
+              for rows, part in parts)))
+
+    def _intra_candidates(self, src, dst, sub, src_local, _dst_sub,
+                          dst_local) -> tuple[np.ndarray, ...]:
+        """Candidate counts and routes of same-subtorus pairs."""
+        ties = dor.wrap_ties(src_local, dst_local, self.plan.dims)
+        counts = np.minimum(1 << ties.sum(axis=0), MAX_ROUTE_CANDIDATES)
+        _, pair, variant = walks.expand(counts)
+        grid, keep = dor.path_links(src_local[pair], dst_local[pair],
+                                    self.plan.dims, variant=variant)
+        grid += sub[pair] * self.links_per_subtorus
+        return (counts,
+                *self._grid_routes(src[pair], dst[pair], (grid, keep)))
+
+    def _inter_candidates(self, src, dst, src_sub, src_local, dst_sub,
+                          dst_local) -> tuple[np.ndarray, ...]:
+        """Candidate counts and routes of pairs in different subtori."""
+        plan = self.plan
+        table, tied = plan.tied_table
+        per_subtorus = len(plan.uplinked)
+        # every (exit, entry) uplink combination of every pair, exits
+        # outermost
+        combo_ptr, pair, at = walks.expand(tied[src_local] * tied[dst_local])
+        exit_at, entry_at = np.divmod(at, tied[dst_local][pair])
+        us = table[src_local[pair], exit_at]
+        ud = table[dst_local[pair], entry_at]
+        exit_port = src_sub[pair] * per_subtorus + plan.rank_arr[us]
+        entry_port = dst_sub[pair] * per_subtorus + plan.rank_arr[ud]
+        fabric_walks, hops = self.fabric.port_choices(exit_port, entry_port)
+        up = 1 << dor.wrap_ties(src_local[pair], us, plan.dims).sum(axis=0)
+        down = 1 << dor.wrap_ties(ud, dst_local[pair], plan.dims).sum(axis=0)
+        # minimal combinations, and the cap taken in enumeration order
+        size = np.where(hops == hops[combo_ptr[:-1]][pair],
+                        up * fabric_walks * down, 0)
+        before = np.cumsum(size) - size
+        before -= before[combo_ptr[:-1]][pair]
+        take = np.clip(MAX_ROUTE_CANDIDATES - before, 0, size)
+        counts = np.add.reduceat(take, combo_ptr[:-1])
+        # every candidate: its combination, then up leg x fabric walk x
+        # down leg, the down leg fastest
+        _, combo, variant = walks.expand(take)
+        variant, down_v = np.divmod(variant, down[combo])
+        up_v, fabric_v = np.divmod(variant, fabric_walks[combo])
+        pair = pair[combo]
+        exit_port, entry_port = exit_port[combo], entry_port[combo]
+        shift = self.links_per_subtorus
+        up_grid, up_keep = dor.path_links(src_local[pair], us[combo],
+                                          plan.dims, variant=up_v)
+        up_grid += src_sub[pair] * shift
+        grid, keep = self.fabric.port_links(exit_port, entry_port, fabric_v)
+        grid += self._fabric_first
+        down_grid, down_keep = dor.path_links(ud[combo], dst_local[pair],
+                                              plan.dims, variant=down_v)
+        down_grid += dst_sub[pair] * shift
+        return (counts, *self._grid_routes(
+            src[pair], dst[pair], (up_grid, up_keep),
+            (self._uplink_first + 2 * exit_port, None),
+            (grid, keep),
+            (self._uplink_first + 2 * entry_port + 1, None),
+            (down_grid, down_keep)))
 
     # --------------------------------------------------------------- analysis
     def _classify_links(self):

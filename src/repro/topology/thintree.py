@@ -20,7 +20,6 @@ up-arities.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -171,29 +170,31 @@ class ThinTreeFabric:
 
     def port_path(self, src_port: int, dst_port: int) -> list[int]:
         """Local switch-id sequence (minimal UP*/DOWN*, d-mod-k thinned)."""
-        return self.port_paths(src_port, dst_port, every=False)[0]
-
-    def port_paths(self, src_port: int, dst_port: int, *,
-                   every: bool = True) -> list[list[int]]:
-        """All minimal switch-id walks: every up-digit choice per climb level,
-        with the deterministic d-mod-k combination first (only that one
-        with ``every=False``)."""
         if src_port == dst_port:
             raise TopologyError("no switch path between identical ports")
         a, b = self.port_switch(src_port), self.port_switch(dst_port)
         if a == b:
-            return [[a]]
-        m = self.nca_level(src_port, dst_port)
-        det = self._dst_digits(dst_port)
-        if not every:
-            return [self._walk(src_port, dst_port, m, det)]
-        choices = [(det[level - 1], *(x for x in range(self.up[level - 1])
-                                      if x != det[level - 1]))
-                   for level in range(1, m)]
-        return [self._walk(src_port, dst_port, m, combo)
-                for combo in itertools.product(*choices)]
+            return [a]
+        return self._walk(src_port, dst_port,
+                          self.nca_level(src_port, dst_port),
+                          self._dst_digits(dst_port))
 
-    def port_links(self, src_ports: np.ndarray, dst_ports: np.ndarray
+    def port_choices(self, src_ports: np.ndarray, dst_ports: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """``(walks, hops)`` per port pair: how many minimal walks join
+        the ports (one up-digit choice per level climbed), and how many
+        links each crosses.  Ports are not range-checked."""
+        walks = np.ones(np.shape(src_ports), dtype=np.int64)
+        hops = np.zeros_like(walks)
+        for level in range(1, self.num_stages):
+            crossed = src_ports // self._group[level] \
+                != dst_ports // self._group[level]
+            walks[crossed] *= self.up[level - 1]
+            hops += 2 * crossed
+        return walks, hops
+
+    def port_links(self, src_ports: np.ndarray, dst_ports: np.ndarray,
+                   variant: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
         """The hops of :meth:`port_path` for many port pairs, as link
         ordinals in :meth:`build_links` order.
@@ -210,29 +211,52 @@ class ThinTreeFabric:
         with the same digits through the same up digit.  A level is
         crossed when the two ports' level-``L`` subtrees differ.  Ports
         are not range-checked.
+
+        ``variant`` picks, per pair, another minimal walk: the
+        ``variant[i]``-th of the :meth:`port_choices` combinations of up
+        digits over the levels climbed, in product order (the highest
+        level varies fastest), where each level offers its d-mod-k digit
+        first and then the others in ascending order.  Variant 0 is
+        :meth:`port_path`'s walk.
         """
         src = np.asarray(src_ports, dtype=np.int64)
         dst = np.asarray(dst_ports, dtype=np.int64)
         levels = self.num_stages - 1
         grid = np.empty((2 * levels, src.shape[0]), dtype=np.int64)
         keep = np.empty(grid.shape, dtype=bool)
-        # the climb's intra-subtree value and the destination's digits
-        value = np.zeros_like(dst)
+        # per level: the d-mod-k climb digit, and whether it is crossed
+        climb = np.empty((levels, src.shape[0]), dtype=np.int64)
         rest = dst // self.down[0]
         digit = dst % self.down[0]
         for level in range(1, levels + 1):
-            width, up = self._digits[level - 1], self.up[level - 1]
-            climb = digit % up
-            cable = self._cable_start[level - 1] + value * up + climb
-            src_sub = src // self._group[level]
-            dst_sub = dst // self._group[level]
-            # climbing from level ``level``, and descending to it
-            grid[level - 1] = 2 * (cable + src_sub * (width * up))
-            grid[-level] = 2 * (cable + dst_sub * (width * up)) + 1
-            np.not_equal(src_sub, dst_sub, out=keep[level - 1])
+            np.remainder(digit, self.up[level - 1], out=climb[level - 1])
+            np.not_equal(src // self._group[level], dst // self._group[level],
+                         out=keep[level - 1])
             keep[-level] = keep[level - 1]
-            value += climb * width
             rest, digit = np.divmod(rest, self.down[level])
+        if variant is not None:
+            rest = np.asarray(variant, dtype=np.int64)
+            for level in range(levels, 0, -1):
+                crossed = keep[level - 1]
+                pick = np.where(crossed, rest % self.up[level - 1], 0)
+                rest = np.where(crossed, rest // self.up[level - 1], rest)
+                # choice 0 is the d-mod-k digit, choice j > 0 the (j-1)-th
+                # of the others
+                other = pick - 1
+                other += other >= climb[level - 1]
+                climb[level - 1] = np.where(pick == 0, climb[level - 1], other)
+        # the climb's intra-subtree value
+        value = np.zeros_like(dst)
+        for level in range(1, levels + 1):
+            width, up = self._digits[level - 1], self.up[level - 1]
+            cable = self._cable_start[level - 1] + value * up \
+                + climb[level - 1]
+            # climbing from level ``level``, and descending to it
+            grid[level - 1] = 2 * (cable + src // self._group[level]
+                                   * (width * up))
+            grid[-level] = 2 * (cable + dst // self._group[level]
+                                * (width * up)) + 1
+            value += climb[level - 1] * width
         return grid, keep
 
     # --------------------------------------------------------------- analysis

@@ -16,8 +16,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.routing import dor
-from repro.topology.base import Topology
+from repro.routing import dor, walks
+from repro.topology.base import MAX_ROUTE_CANDIDATES, Topology
 from repro.topology.planner import torus_dims
 from repro.units import DEFAULT_LINK_CAPACITY
 
@@ -70,16 +70,20 @@ class TorusTopology(Topology):
             src, dst, dor.path_links(src, dst, self.dims,
                                      torus=self.wraparound))
 
-    def vertex_path_candidates(self, src: int, dst: int) -> list[list[int]]:
-        """All minimal DOR walks: both wrap directions on exact even-radix
-        ties (deterministic positive tie-break first)."""
-        self._check_endpoint(src)
-        self._check_endpoint(dst)
-        walks = dor.paths(dor.index_to_coord(src, self.dims),
-                          dor.index_to_coord(dst, self.dims),
-                          self.dims, torus=self.wraparound)
-        return [[dor.coord_to_index(c, self.dims) for c in walk]
-                for walk in walks]
+    def candidate_routes(self, src: np.ndarray, dst: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every minimal DOR route of many pairs: both wrap directions in
+        each dimension with an exact even-radix tie
+        (:func:`~repro.routing.dor.wrap_ties`), in the product order of
+        :func:`~repro.routing.dor.path_links`' variants, the positive
+        tie-break first."""
+        src, dst = self._check_endpoints(src, dst)
+        ties = dor.wrap_ties(src, dst, self.dims, torus=self.wraparound)
+        pair_ptr, pair, variant = walks.expand(
+            np.minimum(1 << ties.sum(axis=0), MAX_ROUTE_CANDIDATES))
+        src, dst = src[pair], dst[pair]
+        return (pair_ptr, *self._grid_routes(src, dst, dor.path_links(
+            src, dst, self.dims, torus=self.wraparound, variant=variant)))
 
     # --------------------------------------------------------------- analysis
     def routing_diameter(self) -> int:

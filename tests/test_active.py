@@ -703,9 +703,9 @@ def _counted_rebuilds():
     calls: list[bool] = []
     rebuild = ActiveSet._csr_rebuild
 
-    def counted(self, weights, slack):
+    def counted(self, weights, slack, *live):
         calls.append(slack)
-        rebuild(self, weights, slack)
+        rebuild(self, weights, slack, *live)
 
     ActiveSet._csr_rebuild = counted
     try:

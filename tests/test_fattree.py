@@ -125,7 +125,8 @@ class TestFabricLinkCount:
 
 class TestMatchesUpDownOracle:
     """The fabric's array-built walks are the reference UP*/DOWN* rule's,
-    switch for switch, for every port pair."""
+    switch for switch and link for link, every minimal walk of every
+    port pair in order."""
 
     @pytest.mark.parametrize("arities", [(2, 4), (4, 4, 2), (3, 3, 3),
                                          (4, 2, 2, 2)])
@@ -142,13 +143,19 @@ class TestMatchesUpDownOracle:
         fabric.build_links(table, 0, 1.0)
         pairs = [(a, b) for a in range(fabric.num_ports)
                  for b in range(fabric.num_ports) if a != b]
-        grid, keep = fabric.port_links(*np.asarray(pairs).T)
+        src, dst = np.asarray(pairs).T
+        grid, keep = fabric.port_links(src, dst)
+        walks, _ = fabric.port_choices(src, dst)
+        variants = [fabric.port_links(src, dst, np.full(len(pairs), v))
+                    for v in range(int(walks.max()))]
         for i, (a, b) in enumerate(pairs):
             det = fabric.port_path(a, b)
             assert grid[keep[:, i], i].tolist() == table.path_to_links(det)
             if fabric.port_switch(a) == fabric.port_switch(b):
-                assert det == [fabric.port_switch(a)]
+                assert det == [fabric.port_switch(a)] and walks[i] == 1
                 continue
             want = [ids(w) for w in updown.switch_paths(a, b, arities)]
-            assert fabric.port_paths(a, b) == want
             assert det == ids(updown.switch_path(a, b, arities)) == want[0]
+            assert walks[i] == len(want)
+            assert [g[k[:, i], i].tolist() for g, k in variants[:len(want)]] \
+                == [table.path_to_links(w) for w in want]

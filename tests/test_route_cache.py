@@ -54,7 +54,7 @@ class TestScaleSmoke:
             "    / 1024.0\n"
             "print(f'rows={len(store)} rss_mb={rss_mb:.0f}')\n"
             "assert len(store) == 491520, len(store)\n"
-            "assert not store.candidates, len(store.candidates)\n"
+            "assert not store._candidate_arenas\n"
             "assert rss_mb < 256.0, f'RSS {rss_mb:.0f} MiB over budget'\n")
         assert "rows=491520" in out
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine import FlowBuilder, RouteCache, analyze, simulate
 from repro.engine import routes as routes_mod
-from repro.engine.routes import ViewRoutes, flow_pairs
+from repro.engine.routes import ViewCandidates, ViewRoutes, flow_pairs
 from repro.errors import DegradedNetworkError
 from repro.topology import (DegradedTopology, FaultSet, TorusTopology,
                             build, degrade, registry)
@@ -72,6 +72,52 @@ def test_gathered_rows_equal_route_in_any_chunk_order(name, topo,
             assert row.tolist() == topo.route(int(src[f]), int(dst[f]))
     assert len(store) == pairs.shape[0]
     assert (ViewRoutes(store, topo, pairs).pair_row >= 0).all()
+
+
+@pytest.mark.parametrize("name,topo", list(_machines()),
+                         ids=[name for name, _ in _machines()])
+def test_candidate_blocks_equal_route_candidates(name, topo, monkeypatch):
+    """Candidate blocks filled a few pairs per ``candidate_routes`` call,
+    chunks taken in random order and through fresh views: every block is
+    ``route_candidates``' list, row for row, and every pair is stored
+    once."""
+    monkeypatch.setattr(routes_mod, "CANDIDATE_CHUNK", 5)
+    rng = np.random.default_rng(64)
+    src = rng.integers(0, ENDPOINTS, 150)
+    dst = rng.integers(0, ENDPOINTS, 150)
+    keep = [i for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist()))
+            if s != d and _routable(topo, s, d)]
+    src, dst = src[keep], dst[keep]
+    pairs, pair_of_flow = flow_pairs(src, dst, ENDPOINTS)
+    store = RouteCache()
+    for i, chunk in enumerate(np.array_split(rng.permutation(src.shape[0]),
+                                             6)):
+        if i % 2 == 0:
+            view = ViewCandidates(store, topo, pairs)
+        first, count = view.blocks(pair_of_flow[chunk])
+        for f, a, k in zip(chunk.tolist(), first.tolist(), count.tolist()):
+            lens, links = view.gather(np.arange(a, a + k))
+            assert [r.tolist() for r in np.split(links, np.cumsum(lens)[:-1])] \
+                == topo.route_candidates(int(src[f]), int(dst[f]))
+    view = ViewCandidates(store, topo, pairs)
+    assert (view.pair_count > 0).all() and len(store) == 0
+    arena = store._candidate_arenas[routes_mod.cache_token(topo)]
+    assert arena.rows == view.pair_count.sum()
+
+
+@pytest.mark.parametrize("routing", ["ecmp", "adaptive"])
+def test_second_multipath_simulate_routes_nothing(routing, monkeypatch):
+    topo = build("nesttree", 64, t=2, u=2)
+    flows = build_workload("unstructuredhr", 64, seed=0).build()
+    store = RouteCache()
+    first = simulate(topo, flows, fidelity="approx", route_cache=store,
+                     routing=routing)
+    rows = store._candidate_arenas[None].rows
+    monkeypatch.setattr(type(topo), "candidate_routes", _explode)
+    again = simulate(topo, flows, fidelity="approx", route_cache=store,
+                     routing=routing)
+    assert again.makespan == first.makespan and again.events == first.events
+    assert store._candidate_arenas[None].rows == rows > 0
 
 
 class TestDisconnectedPairs:
@@ -134,8 +180,9 @@ def test_second_simulate_routes_nothing(fidelity, monkeypatch):
 
 
 def test_route_cache_run_leaves_no_pair_keyed_entries():
-    """A store keeps deterministic routes in its arenas only: its dict
-    holds the multi-path candidate lists and nothing else."""
+    """A store keeps every route in its arenas, one of each kind per
+    fault token: deterministic runs fill no candidate arena, and an ECMP
+    run fills the healthy candidate arena and no deterministic row."""
     topo = build("nesttree", 64, t=2, u=4)
     flows = build_workload("unstructuredhr", 64, seed=0).build()
     store = RouteCache()
@@ -143,11 +190,12 @@ def test_route_cache_run_leaves_no_pair_keyed_entries():
     analyze(topo, flows, route_cache=store)
     simulate(degrade(topo, cables=4, seed=1), flows, fidelity="approx",
              route_cache=store)
-    assert store.candidates == {}
+    assert not store._candidate_arenas
+    rows = len(store)
     simulate(topo, flows, fidelity="approx", routing="ecmp",
              route_cache=store)
-    assert store.candidates
-    assert all(key[0] == "cands" for key in store.candidates)
+    assert set(store._candidate_arenas) == {None}
+    assert store._candidate_arenas[None].rows > 0 and len(store) == rows
 
 
 def _dict_digest(cache: dict) -> str:

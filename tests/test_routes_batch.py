@@ -178,7 +178,7 @@ class TestRouteCache:
         distinct = {(s, d) for s, d in zip(src_ep.tolist(), dst_ep.tolist())
                     if s != d}
         assert len(store) == len(distinct) == pairs[0].shape[0]
-        assert store.candidates == {}
+        assert not store._candidate_arenas
         want = {f: topo_route(topo, int(src_ep[f]), int(dst_ep[f]))
                 for f in range(300)}
         # hits do no routing

@@ -13,6 +13,7 @@ from repro.topology.fattree import FatTreeTopology
 from repro.topology.thintree import ThinTreeFabric, ThinTreeTopology
 from repro.units import DEFAULT_LINK_CAPACITY as CAP
 from repro.workloads import UnstructuredApp
+from tests import walk_oracle
 
 
 class TestConstruction:
@@ -122,5 +123,5 @@ class TestBatchedWalks:
         grid, keep = fabric.port_links(*np.asarray(pairs).T)
         for i, (a, b) in enumerate(pairs):
             walk = fabric.port_path(a, b)
-            assert walk == fabric.port_paths(a, b)[0]
+            assert walk == walk_oracle.tree_port_paths(fabric, a, b)[0]
             assert grid[keep[:, i], i].tolist() == table.path_to_links(walk)
