@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from repro.engine import analyze, simulate
 from repro.errors import DegradedNetworkError, TopologyError
 from repro.routing import ROUTING_POLICIES
-from repro.routing.policy import adaptive_index, ecmp_index
+from repro.routing.policy import ecmp_index
 from repro.topology import (DegradedTopology, FaultSet, NestTree,
                             TorusTopology, available, build, degrade,
                             validate_fault_ids)
 from repro.workloads import build as build_workload
+from tests.oracle import adaptive_index
 
 #: One buildable instance per registered topology family.
 FAMILY_SIZES = {"torus": 64, "fattree": 64, "thintree": 64, "ghc": 64,
